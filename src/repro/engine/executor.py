@@ -11,9 +11,17 @@ is unusable.  The executor therefore:
    starting from the smallest unit, and
 4. applies the remaining (complex / correlated) conjuncts last.
 
-Grouping, HAVING, DISTINCT, ORDER BY and LIMIT are applied on top, and
-sub-queries re-enter the executor with the referencing row's scope so
-correlated references resolve naturally.
+Grouping, HAVING, DISTINCT, ORDER BY and LIMIT are applied on top.
+
+Sub-queries (paper §2.2.5) are evaluated per statement.  A sub-query
+whose every column reference provably resolves inside it is
+*uncorrelated*: it runs at most once per statement, on first reference,
+and its rows serve every outer row.  Any other sub-query is treated as
+correlated and re-enters the pipeline once per outer row, with that
+row's scope, so outer references resolve naturally.  The rows of an
+uncorrelated sub-query are kept only for the statement that computed
+them: one :class:`Executor` is shared by threads, and tables may change
+between statements.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Optional, Sequence
 
+from ..catalog import SchemaError
 from ..sqlkit import ast, render
 from .errors import ExecutionError, NameResolutionError
 from .evaluator import Evaluator, Row, Scope
@@ -71,15 +80,32 @@ class _Unit:
 
 
 class Executor:
-    """Executes query ASTs against a database's tables."""
+    """Executes query ASTs against a database's tables.
+
+    Stateless between calls, so one instance is safely shared by threads:
+    every :meth:`execute` call is one statement with its own
+    :class:`_Statement`.
+    """
+
+    def __init__(self, database: "Database") -> None:  # noqa: F821
+        self.database = database
+
+    def execute(self, query: ast.Node, scope: Optional[Scope] = None) -> Result:
+        return _Statement(self.database).execute(query, scope)
+
+
+class _Statement:
+    """One top-level execution: the SELECT pipeline plus the rows of the
+    uncorrelated sub-queries this statement has run so far."""
 
     def __init__(self, database: "Database") -> None:  # noqa: F821
         self.database = database
         self.evaluator = Evaluator(run_subquery=self._run_subquery)
+        #: id(sub-query node) -> is it uncorrelated?
+        self._uncorrelated: dict[int, bool] = {}
+        #: id(uncorrelated sub-query node) -> its rows
+        self._rows: dict[int, list[tuple]] = {}
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
     def execute(self, query: ast.Node, scope: Optional[Scope] = None) -> Result:
         if isinstance(query, ast.SetOp):
             left = self.execute(query.left, scope)
@@ -95,7 +121,66 @@ class Executor:
         raise ExecutionError(f"not a query: {type(query).__name__}")
 
     def _run_subquery(self, query: ast.Node, scope: Scope) -> list[tuple]:
-        return self.execute(query, scope).rows
+        key = id(query)
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows
+        uncorrelated = self._uncorrelated.get(key)
+        if uncorrelated is None:
+            uncorrelated = self._uncorrelated[key] = not self._escapes(query, ())
+        if not uncorrelated:
+            return self.execute(query, scope).rows
+        rows = self._rows[key] = self.execute(query).rows
+        return rows
+
+    # -- correlation analysis ----------------------------------------------
+    def _escapes(
+        self, query: ast.Node, enclosing: tuple[dict[str, list[str]], ...]
+    ) -> bool:
+        """True unless every column reference in *query* provably resolves
+        to a FROM binding of *query*, of a block nested in it, or of
+        *enclosing* (the schemas of the blocks around *query*, innermost
+        first).
+
+        The levels mirror the scopes the pipeline builds: a block's
+        clauses see all of its bindings, an ``ON`` condition only the
+        bindings of its join, and both then fall through to the
+        enclosing levels."""
+        if isinstance(query, ast.SetOp):
+            return self._escapes(query.left, enclosing) or self._escapes(
+                query.right, enclosing
+            )
+        if not isinstance(query, ast.Select):
+            return True
+        try:
+            schemas = self._binding_schemas(query.from_items)
+        except (ExecutionError, SchemaError):
+            return True  # the block fails on its own; keep the per-row path
+        levels = (schemas, *enclosing)
+        roots: list[tuple[ast.Node, tuple]] = [
+            (node, levels)
+            for node in (
+                *(item.expr for item in query.items),
+                query.where,
+                *query.group_by,
+                query.having,
+                *(item.expr for item in query.order_by),
+            )
+            if node is not None
+        ]
+        for join in _joins(query.from_items):
+            if join.condition is not None:
+                bindings = {t.binding.lower() for t in _table_refs((join,))}
+                join_level = {b: schemas[b] for b in bindings}
+                roots.append((join.condition, (join_level, *enclosing)))
+        for root, chain in roots:
+            for node in _walk_local(root):
+                if isinstance(node, ast.ColumnRef) and not _resolves(node, chain):
+                    return True
+            for nested in ast.subqueries_of(root):
+                if self._escapes(nested, chain):
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # SELECT pipeline
@@ -104,7 +189,7 @@ class Executor:
         _reject_untranslated(select)
         schemas = self._binding_schemas(select.from_items)
         conjuncts = _conjuncts(select.where)
-        early, join_edges, late = _classify(conjuncts, schemas)
+        early, join_edges, late = _classify(conjuncts, schemas, select.from_items)
         tuples = self._assemble(select.from_items, schemas, early, join_edges, outer)
         if late:
             kept = []
@@ -146,7 +231,7 @@ class Executor:
             return [{}]
         units: list[_Unit] = []
         for item in from_items:
-            units.append(self._unit_for(item, early, outer))
+            units.append(self._unit_for(item, schemas, early, outer))
         if not units:
             return [{}]
         # greedy hash-join assembly
@@ -181,6 +266,7 @@ class Executor:
     def _unit_for(
         self,
         item: ast.Node,
+        schemas: dict[str, list[str]],
         early: dict[str, list[ast.Node]],
         outer: Optional[Scope],
     ) -> _Unit:
@@ -195,9 +281,9 @@ class Executor:
                 ]
             return _Unit({binding}, rows)
         if isinstance(item, ast.Join):
-            left = self._unit_for(item.left, early, outer)
-            right = self._unit_for(item.right, early, outer)
-            return self._explicit_join(left, right, item, outer)
+            left = self._unit_for(item.left, schemas, early, outer)
+            right = self._unit_for(item.right, schemas, early, outer)
+            return self._explicit_join(left, right, item, schemas, outer)
         raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
 
     def _join_units(
@@ -255,7 +341,12 @@ class Executor:
         return tuple(key)
 
     def _explicit_join(
-        self, left: _Unit, right: _Unit, join: ast.Join, outer: Optional[Scope]
+        self,
+        left: _Unit,
+        right: _Unit,
+        join: ast.Join,
+        schemas: dict[str, list[str]],
+        outer: Optional[Scope],
     ) -> _Unit:
         bindings = left.bindings | right.bindings
         condition = join.condition
@@ -272,7 +363,7 @@ class Executor:
                 if matches(l, r):
                     rows.append({**l, **r})
         elif join.kind == "left":
-            null_right = _null_rows(right)
+            null_right = _null_rows(right.bindings, schemas)
             for l in left.rows:
                 matched = False
                 for r in right.rows:
@@ -282,7 +373,7 @@ class Executor:
                 if not matched:
                     rows.append({**l, **null_right})
         elif join.kind == "right":
-            null_left = _null_rows(left)
+            null_left = _null_rows(left.bindings, schemas)
             for r in right.rows:
                 matched = False
                 for l in left.rows:
@@ -312,7 +403,7 @@ class Executor:
         if grouped:
             groups = self._group(select, tuples, outer)
             for group_rows, key_scope in groups:
-                scope = _GroupScope(group_rows, key_scope, outer)
+                scope = _GroupScope(group_rows, key_scope, schemas, outer)
                 if select.having is not None and not self._agg_true(
                     select.having, group_rows, scope, outer
                 ):
@@ -397,8 +488,7 @@ class Executor:
         for scope_rows in tuples:
             scope = Scope(scope_rows, parent=outer)
             key = tuple(
-                _hashable(self.evaluator.evaluate(expr, scope))
-                for expr in select.group_by
+                self.evaluator.evaluate(expr, scope) for expr in select.group_by
             )
             groups.setdefault(key, []).append(scope_rows)
             representatives.setdefault(key, scope)
@@ -537,13 +627,15 @@ class _GroupScope(Scope):
         self,
         group_rows: list[dict[str, Row]],
         representative: Optional[Scope],
+        schemas: dict[str, list[str]],
         outer: Optional[Scope],
     ) -> None:
-        bindings = {}
         if representative is not None:
             bindings = representative.bindings
         elif group_rows:
             bindings = group_rows[0]
+        else:  # an aggregate over no rows: plain columns read NULL
+            bindings = _null_rows(schemas, schemas)
         super().__init__(bindings, parent=outer)
         self.group_rows = group_rows
 
@@ -578,6 +670,25 @@ def _walk_local_select(select: ast.Select):
     yield select
     for child in select.children():
         yield from _walk_local(child)
+
+
+def _resolves(
+    ref: ast.ColumnRef, levels: tuple[dict[str, list[str]], ...]
+) -> bool:
+    """Does *ref* resolve at one of *levels* (binding -> columns), the way
+    :meth:`Scope.resolve` walks a scope chain?"""
+    if ref.relation is not None:
+        binding = ref.relation.text.lower()
+        return any(binding in level for level in levels)
+    name = ref.attribute.text.lower()
+    return any(name in columns for level in levels for columns in level.values())
+
+
+def _joins(from_items: Iterable[ast.Node]) -> Iterable[ast.Join]:
+    for item in from_items:
+        if isinstance(item, ast.Join):
+            yield item
+            yield from _joins((item.left, item.right))
 
 
 def _table_refs(from_items: Iterable[ast.Node]) -> Iterable[ast.TableRef]:
@@ -624,14 +735,31 @@ def _bindings_of(
 
 
 def _classify(
-    conjuncts: list[ast.Node], schemas: dict[str, list[str]]
+    conjuncts: list[ast.Node],
+    schemas: dict[str, list[str]],
+    from_items: Sequence[ast.Node],
 ) -> tuple[
     dict[str, list[ast.Node]],
     list[tuple[str, ast.Node, str, ast.Node]],
     list[ast.Node],
 ]:
     """Split WHERE conjuncts into early filters, hash-join edges and the
-    rest (applied after assembly)."""
+    rest (applied after assembly).
+
+    A filter on a binding an outer join pads with NULLs stays late: pushed
+    below the join, it would turn the rows it rejects into padded rows
+    instead of removing them.  An equality between two bindings of one
+    FROM item stays late too: edges only join separate items."""
+    item_of = {
+        table.binding.lower(): index
+        for index, item in enumerate(from_items)
+        for table in _table_refs((item,))
+    }
+    nullable: set[str] = set()
+    for join in _joins(from_items):
+        if join.kind in ("left", "right"):
+            side = join.right if join.kind == "left" else join.left
+            nullable.update(t.binding.lower() for t in _table_refs((side,)))
     early: dict[str, list[ast.Node]] = {}
     edges: list[tuple[str, ast.Node, str, ast.Node]] = []
     late: list[ast.Node] = []
@@ -641,10 +769,10 @@ def _classify(
             late.append(conjunct)
             continue
         if len(bindings) <= 1:
-            if bindings:
+            if bindings and not bindings & nullable:
                 early.setdefault(next(iter(bindings)), []).append(conjunct)
             else:
-                late.append(conjunct)  # constant condition
+                late.append(conjunct)  # constant condition, or nullable
             continue
         if (
             len(bindings) == 2
@@ -658,7 +786,7 @@ def _classify(
                 and right_bindings is not None
                 and len(left_bindings) == 1
                 and len(right_bindings) == 1
-                and left_bindings != right_bindings
+                and len({item_of[b] for b in bindings}) == 2
             ):
                 edges.append(
                     (
@@ -690,14 +818,12 @@ def _edge_within(
     return edge[0] in bindings and edge[2] in bindings
 
 
-def _null_rows(unit: _Unit) -> dict[str, Row]:
-    """All-NULL rows for each binding of *unit* (outer-join padding)."""
-    padded: dict[str, Row] = {}
-    template_source = unit.rows[0] if unit.rows else {}
-    for binding in unit.bindings:
-        columns = template_source.get(binding, {})
-        padded[binding] = {column: None for column in columns}
-    return padded
+def _null_rows(
+    bindings: Iterable[str], schemas: dict[str, list[str]]
+) -> dict[str, Row]:
+    """An all-NULL row for each of *bindings*, with every catalog column
+    (outer-join padding, and the scope of an aggregate over no rows)."""
+    return {binding: dict.fromkeys(schemas[binding]) for binding in bindings}
 
 
 def _has_aggregate(items: Sequence[ast.SelectItem], select: ast.Select) -> bool:
@@ -731,10 +857,6 @@ def _column_name(item: ast.SelectItem, index: int) -> str:
     if isinstance(expr, ast.FuncCall):
         return render(expr)
     return render(expr) if not isinstance(expr, ast.Star) else "*"
-
-
-def _hashable(value: Any) -> Any:
-    return value
 
 
 _TYPE_RANK = {bool: 0, int: 1, float: 1, str: 2}

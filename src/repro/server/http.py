@@ -25,6 +25,12 @@ typed, waits for admitted requests to finish, joins the workers and
 logs the final snapshot.  In-flight HTTP requests complete; nothing
 admitted is lost.
 
+**Framing bounds.**  A request is refused before it reaches a route with
+400 for a negative or non-numeric ``Content-Length``, 413 for a body
+over :data:`MAX_BODY_BYTES`, and 431 for a request or header line over
+the stream reader's 64 KiB line limit.  Every refusal is answered; none
+drops the connection silently.
+
 The app is testable without sockets: :meth:`ServerApp.dispatch` maps
 ``(method, path, body)`` → ``(status, content_type, body_bytes)``
 directly, and :func:`serve` binds port 0 happily for tests.
@@ -163,6 +169,46 @@ def _json(payload: dict[str, Any]) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
+class _Refused(Exception):
+    """A request answered with an error status before it reaches a route."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the reader's 64 KiB limit
+        raise _Refused(431, "request line or header field too large") from None
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[tuple[str, str, bytes]]:
+    """``(method, path, body)`` of one request, or None for a request
+    line too short to answer."""
+    parts = (await _read_line(reader)).decode("latin-1").split()
+    if len(parts) < 2:
+        return None
+    content_length = 0
+    while True:
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            text = value.strip()
+            if not text.isdecimal():  # negative, signed or not a number
+                raise _Refused(400, f"bad Content-Length {text!r}")
+            content_length = int(text)
+    if content_length > MAX_BODY_BYTES:
+        raise _Refused(413, "request body too large")
+    body = await reader.readexactly(content_length) if content_length else b""
+    return parts[0].upper(), parts[1], body
+
+
 async def _handle_connection(
     app: ServerApp,
     reader: asyncio.StreamReader,
@@ -170,42 +216,21 @@ async def _handle_connection(
 ) -> None:
     """Parse one HTTP/1.1 request, answer it, close the connection."""
     try:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            writer.close()
-            return
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
-        if content_length > MAX_BODY_BYTES:
-            status, ctype, body = (
-                413,
-                "application/json",
-                _json({"error": "request body too large"}),
-            )
-        else:
-            payload = (
-                await reader.readexactly(content_length)
-                if content_length
-                else b""
-            )
-            status, ctype, body = await app.dispatch(method, path, payload)
+        try:
+            request = await _read_request(reader)
+            if request is None:
+                return
+            status, ctype, body = await app.dispatch(*request)
+        except _Refused as refused:
+            status, ctype = refused.status, "application/json"
+            body = _json({"error": str(refused)})
         reason = {
             200: "OK",
             400: "Bad Request",
             404: "Not Found",
             413: "Payload Too Large",
             429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error",
             503: "Service Unavailable",
         }.get(status, "OK")

@@ -24,6 +24,13 @@ from .tokenizer import tokenize
 
 _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
+#: Deepest nesting the parser accepts.  A level is a parenthesised
+#: expression, a sub-query, a prefix ``NOT`` / sign, or one more operator
+#: in a left-deep ``AND`` / ``OR`` / arithmetic / ``UNION`` chain, so the
+#: bound caps both the parser's recursion and the depth of the tree every
+#: later recursive walk (translator, renderer, executor) descends.
+MAX_NESTING = 64
+
 
 class Parser:
     """Single-use parser over a token stream."""
@@ -33,6 +40,7 @@ class Parser:
         self.tokens = tokenize(sql)
         self.pos = 0
         self._anon_counter = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # token-stream helpers
@@ -78,6 +86,12 @@ class Parser:
     def error(self, message: str) -> None:
         raise SqlSyntaxError(message, self.sql, self.current.position)
 
+    def _enter(self) -> None:
+        """Descend one nesting level; the caller restores ``_depth``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            self.error(f"query nested deeper than {MAX_NESTING} levels")
+
     # ------------------------------------------------------------------
     # entry point
     # ------------------------------------------------------------------
@@ -89,11 +103,15 @@ class Parser:
         return query
 
     def _query(self) -> ast.Node:
+        depth = self._depth
+        self._enter()
         left: ast.Node = self._select_block()
         while self.accept_keyword("union"):
+            self._enter()
             all_flag = self.accept_keyword("all") is not None
             right = self._select_block()
             left = ast.SetOp("union", left, right, all=all_flag)
+        self._depth = depth
         return left
 
     # ------------------------------------------------------------------
@@ -251,23 +269,35 @@ class Parser:
                 return tuple(items)
 
     def _expr(self) -> ast.Node:
-        return self._or_expr()
+        self._enter()
+        expr = self._or_expr()
+        self._depth -= 1
+        return expr
 
     def _or_expr(self) -> ast.Node:
+        depth = self._depth
         left = self._and_expr()
         while self.accept_keyword("or"):
+            self._enter()
             left = ast.BinaryOp("or", left, self._and_expr())
+        self._depth = depth
         return left
 
     def _and_expr(self) -> ast.Node:
+        depth = self._depth
         left = self._not_expr()
         while self.accept_keyword("and"):
+            self._enter()
             left = ast.BinaryOp("and", left, self._not_expr())
+        self._depth = depth
         return left
 
     def _not_expr(self) -> ast.Node:
         if self.accept_keyword("not"):
-            return ast.UnaryOp("not", self._not_expr())
+            self._enter()
+            expr = ast.UnaryOp("not", self._not_expr())
+            self._depth -= 1
+            return expr
         return self._predicate()
 
     def _predicate(self) -> ast.Node:
@@ -315,30 +345,39 @@ class Parser:
         return left
 
     def _additive(self) -> ast.Node:
+        depth = self._depth
         left = self._multiplicative()
         while True:
             token = self.current
             if token.type is TokenType.OPERATOR and token.value in ("+", "-", "||"):
+                self._enter()
                 self.advance()
                 left = ast.BinaryOp(token.value, left, self._multiplicative())
             else:
+                self._depth = depth
                 return left
 
     def _multiplicative(self) -> ast.Node:
+        depth = self._depth
         left = self._unary()
         while True:
             token = self.current
             if token.type is TokenType.OPERATOR and token.value in ("*", "/", "%"):
+                self._enter()
                 self.advance()
                 left = ast.BinaryOp(token.value, left, self._unary())
             else:
+                self._depth = depth
                 return left
 
     def _unary(self) -> ast.Node:
         token = self.current
         if token.type is TokenType.OPERATOR and token.value in ("-", "+"):
+            self._enter()
             self.advance()
-            return ast.UnaryOp(token.value, self._unary())
+            expr = ast.UnaryOp(token.value, self._unary())
+            self._depth -= 1
+            return expr
         return self._primary()
 
     def _primary(self) -> ast.Node:

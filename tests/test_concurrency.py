@@ -18,12 +18,14 @@ an injected fault varies, and the assertions never depend on that.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro import Budget, BudgetExceeded, Database, QueryService, SchemaFreeTranslator
 from repro.service import BreakerConfig, RetryPolicy, ServiceConfig
+from repro.sqlkit import parse
 from repro.testing.faults import FaultInjector
 
 from tests.conftest import make_fig1_catalog, populate_fig1
@@ -196,6 +198,50 @@ class TestDatabaseWriteSafety:
         # primary keys survived the race intact
         pks = db.column_values("Person", "person_id")
         assert len(set(pks)) == len(pks)
+
+
+#: correlated and uncorrelated sub-queries of every kind, as text (a
+#: fresh tree per call) and pre-parsed (one tree shared by every thread)
+SUBQUERY_SQL = [
+    "SELECT name FROM Person WHERE person_id IN "
+    "(SELECT person_id FROM Director) ORDER BY name",
+    "SELECT p.name FROM Person p WHERE EXISTS "
+    "(SELECT 1 FROM Actor a WHERE a.person_id = p.person_id) ORDER BY p.name",
+    "SELECT title FROM Movie WHERE release_year = "
+    "(SELECT max(release_year) FROM Movie)",
+    "SELECT m.title, (SELECT count(*) FROM Actor a "
+    "WHERE a.movie_id = m.movie_id) FROM Movie m ORDER BY m.title",
+    "SELECT title FROM Movie WHERE release_year >= ALL "
+    "(SELECT release_year FROM Movie)",
+    "SELECT name FROM Person WHERE person_id IN (SELECT person_id FROM Actor "
+    "WHERE movie_id IN (SELECT movie_id FROM Movie WHERE release_year < 2000)) "
+    "UNION SELECT name FROM Person WHERE person_id NOT IN "
+    "(SELECT person_id FROM Actor)",
+]
+
+
+class TestSharedExecutor:
+    def test_subquery_rows_are_per_statement_across_threads(self):
+        db = make_db()
+        queries = SUBQUERY_SQL + [parse(sql) for sql in SUBQUERY_SQL]
+        expected = [db.execute(query).rows for query in queries]
+        per_thread = 50
+
+        def worker(index):
+            return [
+                db.execute(queries[(index + i) % len(queries)]).rows
+                for i in range(per_thread)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-statement often
+        try:
+            results_by_thread = in_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        for index, results in enumerate(results_by_thread):
+            for i, rows in enumerate(results):
+                assert rows == expected[(index + i) % len(queries)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,20 @@
 """Integration tests for query execution against the Figure 1 database."""
 
+import collections
+
 import pytest
 
+from repro import Database
+from repro.backends.sqlite import SqliteBackend
+from repro.datasets import make_movie_database
 from repro.engine import ExecutionError
+from repro.engine.executor import _Statement
+from repro.engine.io import export_to_sqlite
+from repro.sqlkit import parse
+from repro.testing.differential import normalize_rows
+from repro.workloads.textbook import TEXTBOOK_QUERIES
+
+from tests.conftest import make_fig1_catalog, populate_fig1
 
 # NOTE: fig1_db rows are defined in conftest.py:
 #   Titanic (1997, dir Cameron, actors DiCaprio+Winslet, Fox+Paramount)
@@ -261,3 +273,189 @@ class TestSchemaFreeRejection:
     def test_guessed_table_rejected(self, fig1_db):
         with pytest.raises(ExecutionError):
             fig1_db.execute("SELECT title FROM movies?")
+
+
+# ---------------------------------------------------------------------------
+# sub-query evaluation: uncorrelated once per statement, correlated per row
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def movies():
+    db = make_movie_database()
+    return db, SqliteBackend(export_to_sqlite(db, ":memory:"))
+
+
+@pytest.fixture()
+def runs(monkeypatch):
+    """Counts pipeline runs per query node, keyed by ``id(node)``."""
+    counts: collections.Counter = collections.Counter()
+    original = _Statement.execute
+
+    def counting(self, query, scope=None):
+        counts[id(query)] += 1
+        return original(self, query, scope)
+
+    monkeypatch.setattr(_Statement, "execute", counting)
+    return counts
+
+
+def gold(qid):
+    return next(q.gold_sql for q in TEXTBOOK_QUERIES if q.qid == qid)
+
+
+def run_and_compare(movies, sql):
+    """Execute *sql* as an AST on the engine, check its row multiset
+    against SQLite, and return the AST and the engine's rows."""
+    db, sqlite = movies
+    tree = parse(sql)
+    rows = db.execute(tree).rows
+    assert normalize_rows(rows) == normalize_rows(sqlite.execute(sql).rows)
+    return tree, rows
+
+
+class TestSubqueryEvaluation:
+    def test_nested_uncorrelated_in_runs_each_block_once(self, movies, runs):
+        outer, rows = run_and_compare(movies, gold("T12"))
+        middle = outer.where.query
+        inner = middle.where.query
+        assert rows
+        assert [runs[id(outer)], runs[id(middle)], runs[id(inner)]] == [1, 1, 1]
+
+    def test_unqualified_local_column_is_uncorrelated(self, movies, runs):
+        outer, rows = run_and_compare(
+            movies,
+            "SELECT title FROM movie WHERE movie_id IN "
+            "(SELECT movie_id FROM director)",
+        )
+        assert rows and runs[id(outer.where.query)] == 1
+
+    def test_correlated_exists_runs_per_outer_row(self, movies, runs):
+        outer, rows = run_and_compare(movies, gold("T13"))
+        assert rows
+        assert runs[id(outer.where.query)] == movies[0].count("person")
+
+    def test_middle_block_correlated_through_its_inner_block(self, movies, runs):
+        outer, rows = run_and_compare(
+            movies,
+            "SELECT m.title FROM movie m WHERE m.release_year = 2010 "
+            "AND m.movie_id IN "
+            "(SELECT d.movie_id FROM director d WHERE d.person_id IN "
+            "(SELECT p.person_id FROM person p "
+            "WHERE p.birth_year < m.release_year))",
+        )
+        middle = outer.where.right.query
+        inner = middle.where.query
+        assert rows
+        assert runs[id(middle)] == 2  # once per movie of 2010
+        assert runs[id(inner)] > runs[id(middle)]
+
+    def test_unqualified_outer_only_column_is_correlated(self, movies, runs):
+        # birth_year exists only in the outer block's person
+        outer, rows = run_and_compare(
+            movies,
+            "SELECT p.name FROM person p WHERE EXISTS "
+            "(SELECT 1 FROM movie m WHERE m.release_year = birth_year + 40)",
+        )
+        assert rows
+        assert runs[id(outer.where.query)] == movies[0].count("person")
+
+    def test_scalar_and_quantified_subqueries_run_once(self, movies, runs):
+        outer, rows = run_and_compare(movies, gold("T14"))
+        assert rows and runs[id(outer.where.right.query)] == 1
+        db, _ = movies
+        tree = parse(
+            "SELECT title FROM movie WHERE gross >= ALL "
+            "(SELECT gross FROM movie WHERE gross IS NOT NULL)"
+        )
+        assert db.execute(tree).rows == db.execute(gold("T14")).rows
+        assert runs[id(tree.where.query)] == 1
+
+    def test_subqueries_in_union_branches_run_once(self, movies, runs):
+        outer, rows = run_and_compare(
+            movies,
+            "SELECT name FROM person WHERE person_id IN "
+            "(SELECT person_id FROM director) UNION "
+            "SELECT name FROM person WHERE person_id IN "
+            "(SELECT person_id FROM actor)",
+        )
+        assert rows
+        assert runs[id(outer.left.where.query)] == 1
+        assert runs[id(outer.right.where.query)] == 1
+
+    def test_not_in_over_a_null_yields_no_rows(self, movies, runs):
+        outer, rows = run_and_compare(
+            movies,
+            "SELECT title FROM movie WHERE movie_id NOT IN "
+            "(SELECT sequel_of FROM movie)",
+        )
+        assert rows == [] and runs[id(outer.where.query)] == 1
+
+    def test_scalar_subquery_over_no_rows_is_null(self, movies, runs):
+        outer, rows = run_and_compare(
+            movies,
+            "SELECT title, (SELECT release_year FROM movie WHERE movie_id < 0) "
+            "FROM movie",
+        )
+        assert rows and all(row[1] is None for row in rows)
+        assert runs[id(outer.items[1].expr.query)] == 1
+
+    def test_scalar_subquery_with_many_rows_still_raises(self, movies, runs):
+        tree = parse(
+            "SELECT title FROM movie WHERE release_year = "
+            "(SELECT release_year FROM movie)"
+        )
+        with pytest.raises(ExecutionError, match="more than one row"):
+            movies[0].execute(tree)
+        assert runs[id(tree.where.right.query)] == 1
+
+    def test_rows_are_kept_per_statement_only(self, runs):
+        db = Database(make_fig1_catalog())
+        populate_fig1(db)
+        tree = parse(
+            "SELECT name FROM Person WHERE person_id IN "
+            "(SELECT person_id FROM Director) ORDER BY name"
+        )
+        before = db.execute(tree).rows
+        db.insert("Director", [5, 12])
+        after = db.execute(tree).rows
+        assert before == [("James Cameron",), ("Steven Spielberg",)]
+        assert after == [("James Cameron",), ("Steven Spielberg",), ("Tom Hanks",)]
+        assert runs[id(tree.where.query)] == 2
+
+
+class TestJoinAndAggregateCorners:
+    """WHERE over explicit joins, outer-join padding and aggregates over
+    no rows, checked against SQLite."""
+
+    @pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+    def test_where_equality_inside_one_join_item_is_applied(self, movies, kind):
+        _, rows = run_and_compare(
+            movies,
+            f"SELECT p.name FROM person p {kind} director d "
+            "ON p.person_id = d.person_id WHERE d.movie_id = p.person_id",
+        )
+        assert len(rows) == 1
+
+    def test_where_on_nullable_side_filters_after_the_join(self, movies):
+        _, rows = run_and_compare(
+            movies,
+            "SELECT p.name FROM person p LEFT JOIN director d "
+            "ON p.person_id = d.person_id WHERE d.movie_id = 99999",
+        )
+        assert rows == []
+
+    def test_star_over_empty_outer_join_side(self):
+        db = Database(make_fig1_catalog())
+        db.insert("Company", [1, "Fox"])
+        rows = db.execute(
+            "SELECT * FROM Company c LEFT JOIN Movie_Producer mp "
+            "ON c.company_id = mp.company_id"
+        ).rows
+        assert rows == [(1, "Fox", None, None)]
+
+    def test_bare_column_of_aggregate_over_no_rows(self, movies):
+        _, rows = run_and_compare(
+            movies, "SELECT count(*), name FROM person WHERE person_id < 0"
+        )
+        assert rows == [(0, None)]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sqlkit import SqlSyntaxError, ast, parse, parse_expression
+from repro.sqlkit.parser import MAX_NESTING
 
 
 class TestSelectStructure:
@@ -76,6 +77,55 @@ class TestSelectStructure:
         join = query.from_items[0]
         assert isinstance(join, ast.Join) and join.kind == "left"
         assert isinstance(join.left, ast.Join) and join.left.kind == "inner"
+
+
+def nested(depth: int) -> dict[str, str]:
+    """Queries over the Figure 1 schema whose nesting grows with *depth*,
+    one per construct."""
+    where = "SELECT title FROM Movie WHERE "
+    return {
+        "parentheses": where + "release_year > " + "(" * depth + "1" + ")" * depth,
+        "signs": where + "release_year > " + "- " * depth + "1",
+        "not": where + "NOT " * depth + "release_year > 1",
+        "and chain": where + " AND ".join(["release_year > 1"] * depth),
+        "sum chain": "SELECT " + " + ".join(["release_year"] * depth) + " FROM Movie",
+        "union chain": " UNION ".join(["SELECT title FROM Movie"] * depth),
+        "sub-queries": where + "movie_id IN "
+        + "(SELECT movie_id FROM Movie WHERE movie_id IN " * depth
+        + "(SELECT movie_id FROM Movie)" + ")" * depth,
+    }
+
+
+def deepest_accepted(construct: str) -> tuple[int, str]:
+    depth = 1
+    while True:
+        try:
+            parse(nested(depth + 1)[construct])
+        except SqlSyntaxError:
+            return depth, nested(depth)[construct]
+        depth += 1
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("construct", sorted(nested(1)))
+    def test_deep_input_raises_syntax_error_with_position(self, construct):
+        sql = nested(400)[construct]
+        with pytest.raises(SqlSyntaxError, match="nested deeper") as exc_info:
+            parse(sql)
+        assert 0 < exc_info.value.position < len(sql)
+
+    @pytest.mark.parametrize("construct", sorted(nested(1)))
+    def test_deepest_accepted_query_executes_and_translates(
+        self, construct, fig1_db, fig1_translator
+    ):
+        depth, sql = deepest_accepted(construct)
+        assert depth > MAX_NESTING // 4
+        fig1_db.execute(sql)
+        fig1_translator.translate(sql, top_k=1)
+
+    def test_database_execute_rejects_deep_text(self, fig1_db):
+        with pytest.raises(SqlSyntaxError, match="nested deeper"):
+            fig1_db.execute(nested(400)["parentheses"])
 
 
 class TestExpressions:

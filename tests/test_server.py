@@ -566,6 +566,59 @@ class TestHttpApp:
             supervisor.close()
 
 
+class _RecordingApp:
+    """Stands in for :class:`ServerApp`; records what reaches a route."""
+
+    def __init__(self):
+        self.dispatched = []
+
+    async def dispatch(self, method, path, body):
+        self.dispatched.append((method, path, body))
+        return 200, "application/json", b"{}\n"
+
+
+def _raw_exchange(head: bytes):
+    """Send *head* to a connection handler over a real socket; return the
+    status line's code and what reached the app."""
+    app = _RecordingApp()
+
+    async def scenario():
+        server = await asyncio.start_server(
+            lambda r, w: _handle_connection(app, r, w), host="127.0.0.1", port=0
+        )
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(head)
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), timeout=10)
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return raw
+
+    raw = _run(scenario())
+    return int(raw.split()[1]), raw, app.dispatched
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_bad_content_length_answers_400(self, length):
+        status, raw, dispatched = _raw_exchange(
+            f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        assert status == 400 and b"Bad Request" in raw
+        assert dispatched == []
+
+    def test_oversized_header_line_answers_431(self):
+        status, raw, dispatched = _raw_exchange(
+            b"GET /healthz HTTP/1.1\r\nX-Big: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n"
+        )
+        assert status == 431 and b"Request Header Fields Too Large" in raw
+        assert dispatched == []
+
+
 class TestPipelining:
     """Pipelined dispatch and frame coalescing under backlog."""
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import SchemaFreeTranslator, TranslationError, TranslatorConfig
 from repro.datasets import make_movie_database
-from repro.sqlkit import ast, parse
+from repro.sqlkit import SqlSyntaxError, ast, parse
 
 from tests.helpers import PAPER_QUERY
 
@@ -131,6 +131,12 @@ class TestErrorReporting:
         with pytest.raises(TranslationError) as exc_info:
             translator.translate_best("SELECT zzzqqqxxx?.wwwvvv?")
         assert "rt1" in str(exc_info.value)
+
+    def test_deep_nesting_rejected_as_syntax_error(self, fig1_translator):
+        deep = "SELECT title? WHERE year? > " + "(" * 200 + "1" + ")" * 200
+        with pytest.raises(SqlSyntaxError, match="nested deeper") as exc_info:
+            fig1_translator.translate(deep)
+        assert exc_info.value.position > 0
 
     def test_non_query_ast_rejected(self, fig1_translator):
         with pytest.raises(TranslationError):
