@@ -30,6 +30,7 @@ from ..core.config import DEFAULT_CONFIG, TranslatorConfig
 from ..core.context import TranslationContext
 from ..core.rescache import schema_fingerprint
 from ..core.similarity import SimilarityEvaluator
+from ..errors import ReproError
 from ..obs import NULL_TRACER
 from .errors import ArtifactError
 from .format import ArtifactReader, encode
@@ -122,10 +123,11 @@ def build_artifact(
                 try:
                     translator.translate(query, top_k=warmup_top_k)
                     warmed += 1
-                except Exception:  # pragma: no cover - workload-dependent
+                except ReproError:  # pragma: no cover - workload-dependent
                     # warmup is best-effort: an untranslatable query
                     # costs memo coverage, never the build; the serving
-                    # path re-raises its own errors per query
+                    # path re-raises its own errors per query (a bug is
+                    # not a ReproError and still surfaces)
                     continue
         schema_state, memos = context.export_state()
         image = encode(schema_state, memos, backend.data_version, config)

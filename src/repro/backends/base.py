@@ -9,7 +9,8 @@ The schema-free pipeline touches its substrate in exactly four ways:
 * **execution** — run a composed standard-SQL query and get a
   :class:`repro.engine.Result`;
 * **freshness** — a monotone ``data_version`` so derived caches know
-  when to invalidate.
+  when to invalidate, and a per-relation ``relation_version`` so they
+  know *what* to invalidate.
 
 Anything providing those four surfaces can sit under the translator.
 :class:`repro.engine.Database` satisfies the protocol structurally
@@ -27,7 +28,14 @@ backends (DESIGN.md §12):
   on top, so identical contents yield identical samples and therefore
   identical similarity scores on every backend;
 * ``count`` is the exact row count;
-* ``data_version`` moves whenever either could change.
+* ``data_version`` moves whenever either could change;
+* ``relation_version(R)`` moves whenever R's ``column_values`` or
+  ``count`` could change.  It may move more often than that — a backend
+  that cannot tell which table a write touched returns ``data_version``
+  for every relation, so every relation counts as changed — but it never
+  stays put across a change to R.  Read ``data_version`` first: a
+  consumer that records the relation versions it read *after* the data
+  version can never miss a write.
 """
 
 from __future__ import annotations
@@ -56,6 +64,11 @@ class Backend(Protocol):
     @property
     def data_version(self) -> int:
         """Monotone counter; moves when table contents may have changed."""
+        ...
+
+    def relation_version(self, relation_name: str) -> int:
+        """Monotone counter; moves when one relation's contents may have
+        changed (see the freshness contract above)."""
         ...
 
     def count(self, relation_name: str) -> int:

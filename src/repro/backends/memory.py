@@ -45,6 +45,9 @@ class MemoryBackend:
     def data_version(self) -> int:
         return self.database.data_version
 
+    def relation_version(self, relation_name: str) -> int:
+        return self.database.relation_version(relation_name)
+
     def count(self, relation_name: str) -> int:
         return self.database.count(relation_name)
 

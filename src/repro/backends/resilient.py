@@ -197,7 +197,9 @@ class ResilientBackend:
             )
         self.health = BackendHealth()
         self._catalog_cache: Optional["Catalog"] = None
-        self._last_version: Optional[int] = None
+        #: last successfully probed versions: ``None`` -> data_version,
+        #: relation name -> relation_version
+        self._last_versions: dict[Optional[str], int] = {}
         if metrics is None:
             self._retry_total = self._degraded_total = None
         else:
@@ -383,17 +385,26 @@ class ResilientBackend:
         """The inner version; serves the last known one when the probe
         fails terminally (stale caches beat no service — the diagnostic
         records the staleness)."""
+        return self._version(None, lambda: self._inner.data_version)
+
+    def relation_version(self, relation_name: str) -> int:
+        """The inner relation version, under the same guard and
+        last-known fallback as :attr:`data_version`."""
+        return self._version(
+            relation_name, lambda: self._inner.relation_version(relation_name)
+        )
+
+    def _version(self, key: Optional[str], probe: Callable[[], int]) -> int:
         try:
-            version = self._guarded("version", lambda: self._inner.data_version)
+            version = self._guarded("version", probe)
         except BackendUnavailable as exc:
-            if self._last_version is None:
+            last = self._last_versions.get(key)
+            if last is None:
                 raise
             self.health.version_stale = True
-            self._count_degraded(
-                "version", "serving last known data_version", exc
-            )
-            return self._last_version
-        self._last_version = version
+            self._count_degraded("version", "serving last known version", exc)
+            return last
+        self._last_versions[key] = version
         if self.health.version_stale:
             self.health.version_stale = False
         return version

@@ -372,6 +372,12 @@ class SqliteBackend:
             (external,) = conn.execute("PRAGMA data_version").fetchone()
             return external * 1_000_000 + conn.total_changes
 
+    def relation_version(self, relation_name: str) -> int:
+        """``data_version`` for every relation: SQLite cannot say which
+        table an external commit touched, so any write counts as a
+        change to all of them."""
+        return self.data_version
+
     def count(self, relation_name: str) -> int:
         relation = self._catalog.relation(relation_name)
         sql = f"SELECT count(*) FROM {render_identifier(relation.name)}"

@@ -23,15 +23,22 @@ precomputed state it carries two cross-query memo tables:
 * condition-satisfaction statuses keyed by (rendered probe, column).
 
 Schema-derived state (neighbors, name index, FK adjacency) is immutable
-for the database's lifetime; data-derived state (samples, both memo
-tables) is invalidated when the backend's ``data_version`` moves — the
-translator calls :meth:`ensure_current` at the top of every translation.
+for the database's lifetime.  Data is read in one place only: condition
+satisfaction (§4.3) checks a condition against the sample of *one*
+column.  So a write to relation R can change only R's column samples,
+the condition statuses probed against R's columns, and the tree
+similarities ``Sim(rt, R)`` whose condition factor reads them; those are
+what :meth:`~TranslationContext.ensure_current` drops when R's
+``relation_version`` moves (the translator calls it at the top of every
+translation).  Name similarity, the extended view graph and the MTJN
+search read names and FK structure only, so the generated-network memo
+survives writes.
 
 The context reads its substrate only through the :class:`repro.backends.
-base.Backend` protocol (``catalog``, ``column_values``, ``data_version``),
-so it builds identically over the in-memory engine or a reflected SQLite
-file; a raw :class:`repro.engine.Database` satisfies the protocol
-structurally.
+base.Backend` protocol (``catalog``, ``column_values``, ``data_version``,
+``relation_version``), so it builds identically over the in-memory
+engine or a reflected SQLite file; a raw :class:`repro.engine.Database`
+satisfies the protocol structurally.
 
 :class:`ContextStats` counts builds/hits/misses so tests can assert reuse
 semantics and :class:`TranslationStats` can report cache effectiveness.
@@ -95,7 +102,8 @@ class ContextStats:
     #: result-cache invalidation events (data_version bump, vocabulary-
     #: alias registration) — each clears the whole cache
     result_invalidations: int = 0
-    #: times the data-derived caches were dropped after a Database mutation
+    #: times the written relations' data-derived entries were dropped
+    #: after a Database mutation
     invalidations: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -292,10 +300,13 @@ class ContextSchemaState:
 class ContextMemoState:
     """A snapshot of the *mutable* memo half of a context.
 
-    Every entry is a pure function of (schema, data epoch, config, key),
-    so seeding a fresh context with another context's memo state can
-    change timings but never outcomes — the property the artifact
-    round-trip tests pin byte-for-byte.  The result cache and the
+    Every entry is a pure function of (schema, data epoch, config, key) —
+    and the data part is narrower still: a sample, condition status or
+    tree similarity reads the contents of the one relation named in its
+    key, and a generated network reads no data at all.  So seeding a
+    fresh context with another context's memo state can change timings
+    but never outcomes — the property the artifact round-trip tests pin
+    byte-for-byte.  The result cache and the
     vocabulary aliases are deliberately absent: results bake in
     admission-time serving state, and aliases are runtime vocabulary
     (docs/ARTIFACTS.md, "what is not persisted").
@@ -325,6 +336,12 @@ class SampleSource:
         raise NotImplementedError
 
 
+def _without(memo: dict, position: int, relations: set[str]) -> dict:
+    """*memo* minus the entries whose key names one of *relations* at
+    *position*."""
+    return {k: v for k, v in memo.items() if k[position] not in relations}
+
+
 # ---------------------------------------------------------------------------
 # the context
 # ---------------------------------------------------------------------------
@@ -346,7 +363,11 @@ class TranslationContext:
     atomic with respect to in-flight lookups.  Memoized values are pure
     functions of (database contents, key), so two threads that race on
     the same miss compute the same value — sharing never changes
-    translation outcomes.
+    translation outcomes.  Condition statuses and tree similarities are
+    computed outside the lock, so their stores carry the :attr:`epoch`
+    read before the computation began; a store that an invalidation
+    overtook is dropped instead of outliving the data it was computed
+    from.
     """
 
     def __init__(
@@ -395,6 +416,8 @@ class TranslationContext:
         self.stats = ContextStats()
         self._lock = threading.Lock()
         self._data_version = database.data_version
+        #: bumped by every invalidation; see :attr:`epoch`
+        self._epoch = 0
         # -- vocabulary aliases (schema evolution, testing.evolution) --
         #: relation key -> extra names scored alongside the real name
         self._relation_aliases: dict[str, tuple[str, ...]] = {}
@@ -470,14 +493,17 @@ class TranslationContext:
         memos: ContextMemoState,
         sample_source: Optional[SampleSource] = None,
     ) -> None:
-        # -- data-derived (invalidated on Database mutation) -----------
+        # -- data-derived (dropped per written relation) --------------
+        #: relation key -> relation_version the relation's entries were
+        #: built at; read after ``_data_version`` (the backend contract)
+        self._relation_versions = self._read_relation_versions()
         self._samples = dict(memos.samples)
         self._sample_source = sample_source
         self._tree_sim_memo = dict(memos.tree_sims)
         self._condition_memo = dict(memos.conditions)
         # -- generated-network memo (terminal-relation signature) ------
         #: signature -> (ExtendedViewGraph, tuple[JoinNetwork, ...]),
-        #: LRU-bounded; see :meth:`cached_networks`
+        #: LRU-bounded, data-independent; see :meth:`cached_networks`
         self._network_memo = dict(memos.networks)
 
     def seed_memos(self, memos: ContextMemoState) -> None:
@@ -590,29 +616,54 @@ class TranslationContext:
     # invalidation
     # ------------------------------------------------------------------
     def ensure_current(self) -> None:
-        """Drop data-derived caches if the database has been mutated.
+        """Drop what a write since the last call can have changed.
 
         Schema-derived state (neighbors, name index, FK adjacency) never
-        changes — the catalog is fixed for the backend's lifetime — but
-        column samples, condition statuses, and tree similarities (whose
-        condition factor reads the data) all go stale on insert.
+        changes — the catalog is fixed for the backend's lifetime.  When
+        ``data_version`` has moved, the relations whose
+        ``relation_version`` moved lose their column samples ``(R, *)``,
+        the condition statuses probed against them ``(*, R, *)`` and the
+        tree similarities scored against them ``(*, R)``; every other
+        entry was computed from data that has not changed.  The network
+        memo reads names and FK structure only and is kept.  Finished
+        translations carry condition evidence from every relation a
+        conditioned tree was scored against, so the result cache is
+        cleared whole, and an attached artifact sample table belongs to
+        the previous data epoch, so it is detached.
         """
         with self._lock:
-            if self.database.data_version == self._data_version:
+            version = self.database.data_version
+            if version == self._data_version:
                 return
-            self._samples.clear()
-            # an attached artifact sample table belongs to the previous
-            # data epoch — the rescache contract applied to the source
+            versions = self._read_relation_versions()
+            changed = {
+                key
+                for key, seen in self._relation_versions.items()
+                if versions[key] != seen
+            }
+            self._data_version = version
+            self._relation_versions = versions
+            self._epoch += 1
+            self._samples = _without(self._samples, 0, changed)
+            self._condition_memo = _without(self._condition_memo, 1, changed)
+            self._tree_sim_memo = _without(self._tree_sim_memo, 1, changed)
             self._sample_source = None
-            self._tree_sim_memo.clear()
-            self._condition_memo.clear()
-            self._network_memo.clear()
-            # finished translations bake in condition evidence, so they
-            # go stale with the data too (docs/CACHING.md, trigger 1)
             self._result_cache.clear()
             self.stats.result_invalidations += 1
-            self._data_version = self.database.data_version
             self.stats.invalidations += 1
+
+    def _read_relation_versions(self) -> dict[str, int]:
+        return {
+            relation.key: self.database.relation_version(relation.key)
+            for relation in self.relations
+        }
+
+    @property
+    def epoch(self) -> int:
+        """Invalidation counter.  Read it before computing a value that
+        :meth:`remember_condition` or :meth:`remember_tree_similarity`
+        will store: the store is dropped if an invalidation ran since."""
+        return self._epoch
 
     # ------------------------------------------------------------------
     # schema-derived lookups
@@ -667,6 +718,7 @@ class TranslationContext:
             # aliases change name similarity, which the tree-sim memo bakes
             # in — and through it the mappings baked into memoized networks
             # and the finished translations of the result cache
+            self._epoch += 1
             self._tree_sim_memo.clear()
             self._network_memo.clear()
             self._result_cache.clear()
@@ -695,6 +747,7 @@ class TranslationContext:
             if normalize(clean) in {normalize(a) for a in current}:
                 return
             self._attribute_aliases[(rkey, akey)] = current + (clean,)
+            self._epoch += 1
             self._tree_sim_memo.clear()
             self._network_memo.clear()
             self._result_cache.clear()
@@ -753,9 +806,12 @@ class TranslationContext:
                 self.stats.condition_misses += 1
             return cached
 
-    def remember_condition(self, key: tuple, status: str) -> None:
+    def remember_condition(self, key: tuple, status: str, epoch: int) -> None:
+        """Store a status computed from data read at :attr:`epoch`
+        *epoch*; dropped if an invalidation has run since."""
         with self._lock:
-            self._condition_memo[key] = status
+            if epoch == self._epoch:
+                self._condition_memo[key] = status
 
     def cached_tree_similarity(
         self, key: tuple[TreeFingerprint, str], count: bool = True
@@ -782,10 +838,15 @@ class TranslationContext:
             return cached
 
     def remember_tree_similarity(
-        self, key: tuple[TreeFingerprint, str], value: tuple[float, dict]
+        self,
+        key: tuple[TreeFingerprint, str],
+        value: tuple[float, dict],
+        epoch: int,
     ) -> None:
+        """Store like :meth:`remember_condition`."""
         with self._lock:
-            self._tree_sim_memo[key] = value
+            if epoch == self._epoch:
+                self._tree_sim_memo[key] = value
 
     def cached_networks(self, key: tuple) -> Optional[tuple]:
         """Memoized ``(extended graph, networks)`` for one terminal-
@@ -796,9 +857,14 @@ class TranslationContext:
         tree shapes and name evidence, the ordered candidate relations
         of every mapping, the view set, k, and the expansion cap — so
         two queries that differ only in conditions or selected
-        attributes share one generated network set.  Entries are
-        LRU-evicted past a fixed cap and dropped wholesale on
-        ``data_version`` bumps and vocabulary-alias registration.
+        attributes share one generated network set.  No data is read:
+        the extended view graph's edge weights are damped name
+        similarities, the search reads no mapping scores (the translator
+        composes and weighs the networks afterwards), and the candidate
+        relations — whose order the data can move through condition
+        evidence — are part of the key.  So entries survive writes; they
+        are LRU-evicted past a fixed cap and dropped wholesale on
+        vocabulary-alias registration.
         """
         with self._lock:
             entry = self._network_memo.get(key)

@@ -214,6 +214,7 @@ class ConditionChecker:
         probe = _probe_predicate(condition)
         memo_key = (render(probe), relation.key, attribute.key)
         if self._context is not None:
+            epoch = self._context.epoch
             cached = self._context.condition_status(memo_key)
         else:
             cached = self._memo.get(memo_key)
@@ -233,7 +234,7 @@ class ConditionChecker:
                     result = "incompatible"
                     break
         if self._context is not None:
-            self._context.remember_condition(memo_key, result)
+            self._context.remember_condition(memo_key, result, epoch)
         else:
             self._memo[memo_key] = result
         return result
@@ -495,12 +496,15 @@ class SimilarityEvaluator:
         first_probe = key not in self._probed
         if first_probe:
             self._probed.add(key)
+        epoch = self.context.epoch
         cached = self.context.cached_tree_similarity(key, count=first_probe)
         if cached is not None:
             score, attribute_map = cached
             return score, dict(attribute_map)
         score, attribute_map = self._tree_similarity(tree, relation)
-        self.context.remember_tree_similarity(key, (score, dict(attribute_map)))
+        self.context.remember_tree_similarity(
+            key, (score, dict(attribute_map)), epoch
+        )
         return score, attribute_map
 
     def _tree_similarity(

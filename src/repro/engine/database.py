@@ -41,10 +41,14 @@ class Database:
         }
         self._executor = Executor(self)
         self._data_version = 0
+        #: relation key -> count of mutations of that relation
+        self._relation_versions: dict[str, int] = {
+            relation.key: 0 for relation in catalog
+        }
         #: serialises mutations: PK/FK index updates, the row append and
-        #: the data_version bump are one atomic step, so concurrent
-        #: readers (and TranslationContext.ensure_current) never observe
-        #: a row without its version bump or a half-updated index
+        #: both version bumps are one atomic step, so concurrent readers
+        #: (and TranslationContext.ensure_current) never observe a row
+        #: without its version bumps or a half-updated index
         self._write_lock = threading.RLock()
 
     @property
@@ -58,6 +62,13 @@ class Database:
         moved.
         """
         return self._data_version
+
+    def relation_version(self, relation_name: str) -> int:
+        """Monotone per-relation counter, bumped with ``data_version`` by
+        every mutation of *relation_name* — lets a consumer drop only the
+        state derived from the relations that actually changed."""
+        relation = self.catalog.relation(relation_name)
+        return self._relation_versions[relation.key]
 
     # ------------------------------------------------------------------
     # data loading
@@ -84,6 +95,7 @@ class Database:
                     value = row[target_attr]
                     if value is not None:
                         values.add(value)
+            self._relation_versions[relation.key] += 1
             self._data_version += 1
         return row
 

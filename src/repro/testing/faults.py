@@ -517,6 +517,9 @@ class FaultyBackend:
         self._fire("version")
         return self._inner.data_version
 
+    def relation_version(self, relation_name: str) -> int:
+        return self._inner.relation_version(relation_name)
+
     def count(self, relation_name: str) -> int:
         self._fire("count")
         return self._inner.count(relation_name)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Catalog, Database, DataType, SchemaFreeTranslator
+from repro.errors import ReproError
 
 
 def make_fig1_catalog() -> Catalog:
@@ -83,11 +84,27 @@ def populate_fig1(db: Database) -> None:
     db.insert("Movie_Producer", [12, 3])
 
 
-@pytest.fixture(scope="session")
-def fig1_db() -> Database:
+def make_fig1_db() -> Database:
     db = Database(make_fig1_catalog())
     populate_fig1(db)
     return db
+
+
+def results(translator, query, top_k=3):
+    """Translate and normalise to a comparable value; error outcomes are
+    part of the contract, so they normalise too instead of failing."""
+    try:
+        return [
+            (t.sql, round(t.weight, 9))
+            for t in translator.translate(query, top_k=top_k)
+        ]
+    except ReproError as exc:
+        return type(exc).__name__
+
+
+@pytest.fixture(scope="session")
+def fig1_db() -> Database:
+    return make_fig1_db()
 
 
 @pytest.fixture()
