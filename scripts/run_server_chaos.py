@@ -136,6 +136,24 @@ def wait_ready(supervisor, shard, timeout=60.0):
     return False
 
 
+def wait_pongs(supervisor, deaf_pid, timeout=10.0) -> bool:
+    """Wait (real time) until every worker but *deaf_pid* has answered
+    its outstanding ping.  The virtual clock only moves when the harness
+    moves it, so without this wait a healthy worker whose pong is still
+    in the pipe would look deaf at the next advance."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        shards = supervisor.snapshot()["shards"].values()
+        if not any(
+            worker["awaiting_pong"] and worker["pid"] != deaf_pid
+            for shard in shards
+            for worker in shard["workers"]
+        ):
+            return True
+        time.sleep(0.02)
+    return False
+
+
 def restart_and_wait(supervisor, clock, shard) -> bool:
     clock.advance(1.0)
     supervisor.tick()
@@ -316,11 +334,16 @@ def run_hang() -> dict:
             timeout=60
         )
         checks["deaf_request_served"] = deaf_ok.ok
+        (deaf_pid,) = supervisor.worker_pids("movies")
         clock.advance(1.1)
-        supervisor.tick()  # ping goes out, into a deaf ear
+        supervisor.tick()  # pings go out: into a deaf ear, and to courses
+        checks["healthy_workers_ponged"] = wait_pongs(supervisor, deaf_pid)
         clock.advance(5.1)
         supervisor.tick()  # no pong inside heartbeat_timeout: killed
         checks["deaf_killed_by_heartbeat"] = supervisor.stats.timed_out == 2
+        checks["healthy_worker_spared"] = not any(
+            event[:2] == ("timeout", "courses") for event in supervisor.events
+        )
         checks["deaf_restart"] = restart_and_wait(supervisor, clock, "movies")
         served = supervisor.submit(
             "SELECT name? WHERE director_name? = 'James Cameron'",

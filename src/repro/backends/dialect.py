@@ -16,12 +16,20 @@ the differences are explicit and testable:
   quantifier/operator combinations raise :class:`UnsupportedSqlError`
   so the divergence is a typed failure, not silently wrong rows.
 
+* Every ``ORDER BY`` item gets an explicit NULL placement: ``NULLS
+  LAST`` ascending and ``NULLS FIRST`` descending, the engine's order
+  (NULL sorts above every value).  Stock SQLite sorts NULL below every
+  value, so ``ORDER BY v LIMIT 1`` would otherwise pick a NULL row on
+  SQLite and a value on the engine.
+
 Scalar-function parity (``round`` half-even, missing ``concat``,
 case-sensitive ``LIKE``) is handled by UDF registration in the backend,
 not by rewriting, since the names already match.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from ..engine.errors import ExecutionError
 from ..sqlkit import ast
@@ -33,6 +41,10 @@ class UnsupportedSqlError(ExecutionError):
 
 
 def _rewrite(node: ast.Node) -> "ast.Node | None":
+    if isinstance(node, ast.OrderItem) and node.nulls is None:
+        return dataclasses.replace(
+            node, nulls="last" if node.ascending else "first"
+        )
     if isinstance(node, ast.BinaryOp) and node.op == "/":
         return ast.FuncCall("repro_div", (node.left, node.right))
     if isinstance(node, ast.BinaryOp) and node.op == "%":

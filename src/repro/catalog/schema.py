@@ -14,6 +14,7 @@ declared spelling for rendering translated queries.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -25,8 +26,11 @@ class SchemaError(ValueError):
 
 
 def normalize(name: str) -> str:
-    """Canonical (case-insensitive) form of a SQL identifier."""
-    return name.lower()
+    """Canonical (case-insensitive) form of a SQL identifier.
+
+    Interned, so the many memo keys and plans built from one name share
+    a single string instead of holding a fresh copy each."""
+    return sys.intern(name.lower())
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class Relation:
         if not name:
             raise SchemaError("relation name must be non-empty")
         self.name = name
+        #: case-insensitive lookup key for this relation
+        self.key = normalize(name)
         self._attributes: dict[str, Attribute] = {}
         self._order: list[str] = []
         for attribute in attributes:
@@ -100,11 +106,6 @@ class Relation:
                 raise SchemaError(
                     f"primary key column {pk_column!r} not in relation {name!r}"
                 )
-
-    @property
-    def key(self) -> str:
-        """Case-insensitive lookup key for this relation."""
-        return normalize(self.name)
 
     @property
     def attributes(self) -> list[Attribute]:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..catalog import Attribute, Relation
 from ..engine import ExecutionError, NameResolutionError
-from ..engine.evaluator import Evaluator, Scope
+from ..engine.evaluator import compile_expr
 from ..sqlkit import ast, render
 from .config import DEFAULT_CONFIG, TranslatorConfig
 from .relation_tree import AttributeTree, RelationTree, tree_fingerprint
@@ -161,15 +161,17 @@ _PROBE_COLUMN = "__value__"
 _PROBE_REF = ast.ColumnRef(
     ast.exact(_PROBE_COLUMN), ast.exact(_PROBE_BINDING)
 )
+_PROBE_SCHEMAS = {_PROBE_BINDING: [_PROBE_COLUMN]}
 
 
 class ConditionChecker:
     """Checks whether value conditions are satisfied by database columns.
 
     Column contents are sampled (``config.condition_sample``, a
-    deterministic stride across the column's distinct values) and probe
-    predicates are evaluated with the subject column bound to each sample
-    value; the first satisfying value short-circuits.
+    deterministic stride across the column's distinct values) and the
+    probe predicate is compiled once per check and run with the subject
+    column bound to each sample value; the first satisfying value
+    short-circuits.
 
     With a :class:`~repro.core.context.TranslationContext` the samples
     and the status memo live on the context, shared across every checker
@@ -185,7 +187,6 @@ class ConditionChecker:
         self._database = database
         self._config = config
         self._context = context
-        self._evaluator = Evaluator()
         self._samples: dict[tuple[str, str], list[Any]] = {}
         self._memo: dict[tuple[str, str, str], str] = {}
 
@@ -224,10 +225,11 @@ class ConditionChecker:
             result = "incompatible"
         else:
             result = "unsatisfied"
+            test = compile_expr(probe, _PROBE_SCHEMAS)
             for value in self._sample(relation.name, attribute.name):
-                scope = Scope({_PROBE_BINDING: {_PROBE_COLUMN: value}})
+                rows = {_PROBE_BINDING: {_PROBE_COLUMN: value}}
                 try:
-                    if self._evaluator.is_true(probe, scope):
+                    if test(rows, None, None) is True:
                         result = "satisfied"
                         break
                 except (ExecutionError, NameResolutionError):

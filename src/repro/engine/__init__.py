@@ -2,7 +2,7 @@
 
 from .database import Database
 from .errors import EngineError, ExecutionError, IntegrityError, NameResolutionError
-from .evaluator import Evaluator, Scope, compare, like_match
+from .evaluator import Scope, compare, compile_expr, like_match
 from .executor import Executor, Result
 from .functions import AGGREGATE_NAMES, SCALAR_FUNCTIONS, aggregate, is_aggregate
 from .io import (
@@ -17,7 +17,6 @@ __all__ = [
     "AGGREGATE_NAMES",
     "Database",
     "EngineError",
-    "Evaluator",
     "ExecutionError",
     "Executor",
     "IntegrityError",
@@ -32,6 +31,7 @@ __all__ = [
     "load_database",
     "save_database",
     "compare",
+    "compile_expr",
     "is_aggregate",
     "like_match",
 ]

@@ -11,13 +11,17 @@ the tuples in the attribute").
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from collections import OrderedDict
+from typing import Any, Iterable, Mapping, Sequence, Union
 
-from ..catalog import Catalog, DataType, Relation, coerce, normalize
+from ..catalog import Catalog, Relation, coerce, normalize
 from ..sqlkit import ast, parse
 from .errors import IntegrityError
 from .evaluator import Row
-from .executor import Executor, Result
+from .executor import Executor, Prepared, Result
+
+#: statement texts whose parsed AST and block plans a Database keeps
+STATEMENT_CACHE_SIZE = 256
 
 
 class Database:
@@ -50,6 +54,12 @@ class Database:
         #: (and TranslationContext.ensure_current) never observe a row
         #: without its version bumps or a half-updated index
         self._write_lock = threading.RLock()
+        #: statement text -> its prepared statement (AST and block plans),
+        #: least recently used first.  Plans depend only on the text and
+        #: the catalog, which is fixed for the life of the Database, so
+        #: writes leave the map alone.
+        self._statements: OrderedDict[str, Prepared] = OrderedDict()
+        self._statements_lock = threading.Lock()
 
     @property
     def data_version(self) -> int:
@@ -192,11 +202,24 @@ class Database:
     # querying
     # ------------------------------------------------------------------
     def execute(self, query: Union[str, ast.Node]) -> Result:
-        """Execute full SQL (text or AST) and return a Result."""
+        """Execute full SQL (text or AST) and return a Result.
+
+        Text is parsed and planned once and then reused from a bounded
+        map (:data:`STATEMENT_CACHE_SIZE` texts); an AST is planned once
+        per call."""
         if isinstance(query, str):
-            query = parse(query)
+            return self._prepared(query).execute()
         return self._executor.execute(query)
 
-    def explainable_executor(self) -> Executor:
-        """The underlying executor (exposed for the translator's probes)."""
-        return self._executor
+    def _prepared(self, text: str) -> Prepared:
+        with self._statements_lock:
+            prepared = self._statements.get(text)
+            if prepared is not None:
+                self._statements.move_to_end(text)
+                return prepared
+        prepared = self._executor.prepare(parse(text))
+        with self._statements_lock:
+            self._statements[text] = prepared
+            if len(self._statements) > STATEMENT_CACHE_SIZE:
+                self._statements.popitem(last=False)
+        return prepared

@@ -13,27 +13,49 @@ is unusable.  The executor therefore:
 
 Grouping, HAVING, DISTINCT, ORDER BY and LIMIT are applied on top.
 
+Each SELECT block is planned once (:class:`_BlockPlan`): the schema-free
+check, the binding schemas, the split of WHERE into early filters,
+hash-join keys and late filters, and every expression of the block
+compiled into a closure (:func:`~repro.engine.evaluator.compile_expr`).
+A :class:`Prepared` statement holds its AST, the plans of its blocks
+(built when a block first runs) and the correlation verdict of each
+sub-query.  Plans hold no rows and no per-statement state, so one
+prepared statement serves any number of threads and stays valid across
+writes; :class:`~repro.engine.database.Database` keeps them by
+statement text.
+
 Sub-queries (paper §2.2.5) are evaluated per statement.  A sub-query
 whose every column reference provably resolves inside it is
 *uncorrelated*: it runs at most once per statement, on first reference,
 and its rows serve every outer row.  Any other sub-query is treated as
 correlated and re-enters the pipeline once per outer row, with that
-row's scope, so outer references resolve naturally.  The rows of an
-uncorrelated sub-query are kept only for the statement that computed
-them: one :class:`Executor` is shared by threads, and tables may change
-between statements.
+row's scope, reusing its block's plan.  The rows of an uncorrelated
+sub-query are kept only for the statement that computed them
+(:class:`_Statement`): tables may change between statements.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..catalog import SchemaError
+from ..catalog import Catalog, SchemaError
 from ..sqlkit import ast, render
-from .errors import ExecutionError, NameResolutionError
-from .evaluator import Evaluator, Row, Scope
-from .functions import aggregate, is_aggregate
+from .errors import EngineError, ExecutionError, NameResolutionError
+from .evaluator import (
+    Compiled,
+    Row,
+    Schemas,
+    Scope,
+    binary_operator,
+    compile_expr,
+    unary_operator,
+)
+from .functions import aggregate, call_scalar, is_aggregate
+
+#: A compiled aggregate-aware expression:
+#: ``fn(group_rows, representative, outer, statement) -> value``.
+GroupCompiled = Callable[[list, dict, Optional[Scope], Any], Any]
 
 
 class Result:
@@ -83,55 +105,55 @@ class Executor:
     """Executes query ASTs against a database's tables.
 
     Stateless between calls, so one instance is safely shared by threads:
-    every :meth:`execute` call is one statement with its own
-    :class:`_Statement`.
+    every :meth:`execute` call plans its query once and runs it as one
+    statement with its own :class:`_Statement`.
     """
 
     def __init__(self, database: "Database") -> None:  # noqa: F821
         self.database = database
 
+    def prepare(self, query: ast.Node) -> "Prepared":
+        """A reusable statement for *query*; nothing is planned yet."""
+        return Prepared(self.database, query)
+
     def execute(self, query: ast.Node, scope: Optional[Scope] = None) -> Result:
-        return _Statement(self.database).execute(query, scope)
+        return self.prepare(query).execute(scope)
 
 
-class _Statement:
-    """One top-level execution: the SELECT pipeline plus the rows of the
-    uncorrelated sub-queries this statement has run so far."""
+class Prepared:
+    """A statement's AST plus the plans of its query blocks.
 
-    def __init__(self, database: "Database") -> None:  # noqa: F821
+    Block plans and correlation verdicts are built on first use and
+    depend only on the AST and the catalog, so concurrent statements may
+    share (and race to fill) them: two threads planning one block build
+    equal plans and either one is kept."""
+
+    __slots__ = ("database", "query", "_blocks", "_uncorrelated")
+
+    def __init__(self, database: "Database", query: ast.Node) -> None:  # noqa: F821
         self.database = database
-        self.evaluator = Evaluator(run_subquery=self._run_subquery)
+        self.query = query
+        #: id(Select node) -> its plan
+        self._blocks: dict[int, _BlockPlan] = {}
         #: id(sub-query node) -> is it uncorrelated?
         self._uncorrelated: dict[int, bool] = {}
-        #: id(uncorrelated sub-query node) -> its rows
-        self._rows: dict[int, list[tuple]] = {}
 
-    def execute(self, query: ast.Node, scope: Optional[Scope] = None) -> Result:
-        if isinstance(query, ast.SetOp):
-            left = self.execute(query.left, scope)
-            right = self.execute(query.right, scope)
-            if len(left.columns) != len(right.columns):
-                raise ExecutionError("UNION operands have different arity")
-            rows = left.rows + right.rows
-            if not query.all:
-                rows = list(dict.fromkeys(rows))
-            return Result(left.columns, rows)
-        if isinstance(query, ast.Select):
-            return self._execute_select(query, scope)
-        raise ExecutionError(f"not a query: {type(query).__name__}")
+    def execute(self, scope: Optional[Scope] = None) -> Result:
+        return _Statement(self).execute(self.query, scope)
 
-    def _run_subquery(self, query: ast.Node, scope: Scope) -> list[tuple]:
-        key = id(query)
-        rows = self._rows.get(key)
-        if rows is not None:
-            return rows
-        uncorrelated = self._uncorrelated.get(key)
-        if uncorrelated is None:
-            uncorrelated = self._uncorrelated[key] = not self._escapes(query, ())
-        if not uncorrelated:
-            return self.execute(query, scope).rows
-        rows = self._rows[key] = self.execute(query).rows
-        return rows
+    def block(self, select: ast.Select) -> "_BlockPlan":
+        plan = self._blocks.get(id(select))
+        if plan is None:
+            plan = self._blocks[id(select)] = _BlockPlan(
+                select, self.database.catalog
+            )
+        return plan
+
+    def uncorrelated(self, query: ast.Node) -> bool:
+        verdict = self._uncorrelated.get(id(query))
+        if verdict is None:
+            verdict = self._uncorrelated[id(query)] = not self._escapes(query, ())
+        return verdict
 
     # -- correlation analysis ----------------------------------------------
     def _escapes(
@@ -153,7 +175,7 @@ class _Statement:
         if not isinstance(query, ast.Select):
             return True
         try:
-            schemas = self._binding_schemas(query.from_items)
+            schemas = _binding_schemas(self.database.catalog, query.from_items)
         except (ExecutionError, SchemaError):
             return True  # the block fails on its own; keep the per-row path
         levels = (schemas, *enclosing)
@@ -170,9 +192,7 @@ class _Statement:
         ]
         for join in _joins(query.from_items):
             if join.condition is not None:
-                bindings = {t.binding.lower() for t in _table_refs((join,))}
-                join_level = {b: schemas[b] for b in bindings}
-                roots.append((join.condition, (join_level, *enclosing)))
+                roots.append((join.condition, (_join_level(join, schemas), *enclosing)))
         for root, chain in roots:
             for node in _walk_local(root):
                 if isinstance(node, ast.ColumnRef) and not _resolves(node, chain):
@@ -182,66 +202,298 @@ class _Statement:
                     return True
         return False
 
+
+# ---------------------------------------------------------------------------
+# block plans
+# ---------------------------------------------------------------------------
+
+
+class _TablePlan:
+    """A FROM table: its binding, its relation and its early filters."""
+
+    __slots__ = ("binding", "relation", "filters")
+
+    def __init__(self, binding: str, relation: str, filters: list[Compiled]) -> None:
+        self.binding = binding
+        self.relation = relation
+        self.filters = filters
+
+
+class _JoinPlan:
+    """An explicit JOIN: its sides, its compiled ``ON`` condition (over
+    the join's own bindings) and the NULL padding of outer joins."""
+
+    __slots__ = ("left", "right", "kind", "condition", "null_left", "null_right")
+
+    def __init__(self, join: ast.Join, left, right, schemas: Schemas) -> None:
+        self.left = left
+        self.right = right
+        self.kind = join.kind
+        self.condition = (
+            compile_expr(join.condition, _join_level(join, schemas))
+            if join.condition is not None
+            else None
+        )
+        self.null_left = _null_rows(_bindings_under(join.left), schemas)
+        self.null_right = _null_rows(_bindings_under(join.right), schemas)
+
+
+class _BlockPlan:
+    """Everything about one SELECT block that does not depend on the rows.
+
+    Building it raises what starting the block raised before planning
+    existed (a schema-free marker, an unknown relation, a duplicate
+    binding).  Errors of later phases — a star over an unknown binding,
+    HAVING without grouping — are kept and raised when the block
+    projects, after its rows have been assembled."""
+
+    def __init__(self, select: ast.Select, catalog: Catalog) -> None:
+        _reject_untranslated(select)
+        schemas = _binding_schemas(catalog, select.from_items)
+        early, join_edges, late = _classify(
+            _conjuncts(select.where), schemas, select.from_items
+        )
+        self.units = [_unit_plan(item, schemas, early) for item in select.from_items]
+        self.edges = [
+            (a, compile_expr(expr_a, schemas), b, compile_expr(expr_b, schemas))
+            for a, expr_a, b, expr_b in join_edges
+        ]
+        self.late = [compile_expr(conjunct, schemas) for conjunct in late]
+        self.distinct = select.distinct
+        self.limit = select.limit
+        self.offset = select.offset
+        self.error: Optional[EngineError] = None
+        self.columns: list[str] = []
+        self.grouped = False
+        self.items: list[Compiled] = []
+        self.group_keys: list[Compiled] = []
+        self.group_items: list[GroupCompiled] = []
+        self.having: Optional[GroupCompiled] = None
+        self.null_all = _null_rows(schemas, schemas)
+        self.order: list[tuple[bool, str, Any]] = []
+        try:
+            items = _expand_stars(select.items, schemas)
+        except NameResolutionError as exc:
+            self.error = exc
+            return
+        self.columns = [_column_name(item, index) for index, item in enumerate(items)]
+        self.grouped = bool(select.group_by) or _has_aggregate(items, select)
+        if self.grouped:
+            self.group_keys = [compile_expr(expr, schemas) for expr in select.group_by]
+            self.group_items = [_compile_group(item.expr, schemas) for item in items]
+            if select.having is not None:
+                self.having = _compile_group_true(select.having, schemas)
+        elif select.having is not None:
+            self.error = ExecutionError("HAVING without GROUP BY or aggregates")
+            return
+        else:
+            self.items = [compile_expr(item.expr, schemas) for item in items]
+        self.order = [
+            (order_item.ascending, *self._order_key(order_item.expr, items, schemas))
+            for order_item in select.order_by
+        ]
+
+    def _order_key(
+        self, expr: ast.Node, items: list[ast.SelectItem], schemas: Schemas
+    ) -> tuple[str, Any]:
+        """How one ORDER BY item reads its key: ``("column", index)`` of
+        the output row, ``("error", message)`` for a bad position, or
+        ``("row", fn)`` / ``("group", fn)`` over the row's context."""
+        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+            position = expr.value - 1
+            if not 0 <= position < len(items):
+                return "error", f"ORDER BY position {expr.value} out of range"
+            return "column", position
+        if isinstance(expr, ast.ColumnRef) and expr.relation is None:
+            alias_index = {
+                item.alias.lower(): index
+                for index, item in enumerate(items)
+                if item.alias
+            }
+            name = expr.attribute.text.lower()
+            if name in alias_index:
+                return "column", alias_index[name]
+        expr_index = {item.expr: index for index, item in enumerate(items)}
+        if expr in expr_index:
+            return "column", expr_index[expr]
+        if self.grouped:
+            return "group", _compile_group(expr, schemas)
+        return "row", compile_expr(expr, schemas)
+
+
+def _unit_plan(item: ast.Node, schemas: Schemas, early: dict[str, list[ast.Node]]):
+    if isinstance(item, ast.TableRef):
+        binding = item.binding.lower()
+        filters = [compile_expr(c, schemas) for c in early.get(binding, ())]
+        return _TablePlan(binding, item.name.text, filters)
+    if isinstance(item, ast.Join):
+        left = _unit_plan(item.left, schemas, early)
+        right = _unit_plan(item.right, schemas, early)
+        return _JoinPlan(item, left, right, schemas)
+    raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
+
+
+# -- aggregate-aware compilation -------------------------------------------------
+
+
+def _compile_group(expr: ast.Node, schemas: Schemas) -> GroupCompiled:
+    """Compile *expr* for one group: aggregate calls reduce over the
+    group's rows, operators and scalar functions combine their operands'
+    group values, and anything else reads the group's representative
+    row (valid for GROUP BY keys)."""
+    if isinstance(expr, ast.FuncCall) and is_aggregate(expr.name):
+        return _compile_aggregate(expr, schemas)
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda group, rep, outer, statement: value
+    if isinstance(expr, ast.BinaryOp):
+        left = _compile_group(expr.left, schemas)
+        right = _compile_group(expr.right, schemas)
+        apply = binary_operator(expr.op)
+        return lambda group, rep, outer, statement: apply(
+            left(group, rep, outer, statement), right(group, rep, outer, statement)
+        )
+    if isinstance(expr, ast.UnaryOp):
+        operand = _compile_group(expr.operand, schemas)
+        apply_unary = unary_operator(expr.op)
+        return lambda group, rep, outer, statement: apply_unary(
+            operand(group, rep, outer, statement)
+        )
+    if isinstance(expr, ast.FuncCall):
+        name = expr.name
+        args = [_compile_group(arg, schemas) for arg in expr.args]
+        return lambda group, rep, outer, statement: call_scalar(
+            name, [arg(group, rep, outer, statement) for arg in args]
+        )
+    plain = compile_expr(expr, schemas)
+    return lambda group, rep, outer, statement: plain(rep, outer, statement)
+
+
+def _compile_aggregate(call: ast.FuncCall, schemas: Schemas) -> GroupCompiled:
+    name = call.name
+    if call.args and isinstance(call.args[0], ast.Star):
+        return lambda group, rep, outer, statement: aggregate(
+            name, (1 for _ in group), distinct=False
+        )
+    if len(call.args) != 1:
+        message = f"{name}() takes exactly one argument"
+
+        def fail(group, rep, outer, statement):
+            raise ExecutionError(message)
+
+        return fail
+    arg = compile_expr(call.args[0], schemas)
+    distinct = call.distinct
+    return lambda group, rep, outer, statement: aggregate(
+        name, [arg(rows, outer, statement) for rows in group], distinct=distinct
+    )
+
+
+def _compile_group_true(expr: ast.Node, schemas: Schemas) -> GroupCompiled:
+    """Compile a HAVING condition to a two-valued test: AND/OR/NOT combine
+    the truth of their operands, anything else passes only when True."""
+    if isinstance(expr, ast.BinaryOp) and expr.op in ("and", "or"):
+        left = _compile_group_true(expr.left, schemas)
+        right = _compile_group_true(expr.right, schemas)
+        if expr.op == "and":
+
+            def both(group, rep, outer, statement):
+                lvalue = left(group, rep, outer, statement)
+                rvalue = right(group, rep, outer, statement)
+                return lvalue and rvalue
+
+            return both
+
+        def either(group, rep, outer, statement):
+            lvalue = left(group, rep, outer, statement)
+            rvalue = right(group, rep, outer, statement)
+            return lvalue or rvalue
+
+        return either
+    if isinstance(expr, ast.UnaryOp) and expr.op == "not":
+        operand = _compile_group_true(expr.operand, schemas)
+        return lambda group, rep, outer, statement: not operand(
+            group, rep, outer, statement
+        )
+    value = _compile_group(expr, schemas)
+    return lambda group, rep, outer, statement: (
+        value(group, rep, outer, statement) is True
+    )
+
+
+# ---------------------------------------------------------------------------
+# statement execution
+# ---------------------------------------------------------------------------
+
+
+class _Statement:
+    """One top-level execution: the SELECT pipeline plus the rows of the
+    uncorrelated sub-queries this statement has run so far."""
+
+    def __init__(self, prepared: Prepared) -> None:
+        self.prepared = prepared
+        self.database = prepared.database
+        #: id(uncorrelated sub-query node) -> its rows
+        self._rows: dict[int, list[tuple]] = {}
+
+    def execute(self, query: ast.Node, scope: Optional[Scope] = None) -> Result:
+        if isinstance(query, ast.SetOp):
+            left = self.execute(query.left, scope)
+            right = self.execute(query.right, scope)
+            if len(left.columns) != len(right.columns):
+                raise ExecutionError("UNION operands have different arity")
+            rows = left.rows + right.rows
+            if not query.all:
+                rows = list(dict.fromkeys(rows))
+            return Result(left.columns, rows)
+        if isinstance(query, ast.Select):
+            return self._execute_select(self.prepared.block(query), scope)
+        raise ExecutionError(f"not a query: {type(query).__name__}")
+
+    def subquery_rows(
+        self, query: ast.Node, rows: dict[str, Row], outer: Optional[Scope]
+    ) -> list[tuple]:
+        """The rows of sub-query *query* referenced from the binding row
+        *rows* (the callback of compiled sub-query nodes)."""
+        key = id(query)
+        cached = self._rows.get(key)
+        if cached is not None:
+            return cached
+        if not self.prepared.uncorrelated(query):
+            return self.execute(query, Scope(rows, parent=outer)).rows
+        cached = self._rows[key] = self.execute(query).rows
+        return cached
+
     # ------------------------------------------------------------------
     # SELECT pipeline
     # ------------------------------------------------------------------
-    def _execute_select(self, select: ast.Select, outer: Optional[Scope]) -> Result:
-        _reject_untranslated(select)
-        schemas = self._binding_schemas(select.from_items)
-        conjuncts = _conjuncts(select.where)
-        early, join_edges, late = _classify(conjuncts, schemas, select.from_items)
-        tuples = self._assemble(select.from_items, schemas, early, join_edges, outer)
-        if late:
-            kept = []
-            for scope_rows in tuples:
-                scope = Scope(scope_rows, parent=outer)
-                if all(self.evaluator.is_true(c, scope) for c in late):
-                    kept.append(scope_rows)
-            tuples = kept
-        return self._project(select, schemas, tuples, outer)
-
-    # -- FROM resolution -------------------------------------------------
-    def _binding_schemas(
-        self, from_items: Sequence[ast.Node]
-    ) -> dict[str, list[str]]:
-        """Map binding name -> lower-cased column names, in FROM order."""
-        schemas: dict[str, list[str]] = {}
-        for table in _table_refs(from_items):
-            binding = table.binding.lower()
-            if binding in schemas:
-                raise ExecutionError(f"duplicate FROM binding {table.binding!r}")
-            relation = self.database.catalog.relation(table.name.text)
-            schemas[binding] = [a.key for a in relation.attributes]
-        return schemas
-
-    def _table_rows(self, table: ast.TableRef) -> list[Row]:
-        return self.database.rows(table.name.text)
+    def _execute_select(self, plan: _BlockPlan, outer: Optional[Scope]) -> Result:
+        tuples = self._assemble(plan, outer)
+        if plan.late:
+            late = plan.late
+            tuples = [
+                rows
+                for rows in tuples
+                if all(condition(rows, outer, self) is True for condition in late)
+            ]
+        return self._project(plan, tuples, outer)
 
     # -- join assembly -----------------------------------------------------
     def _assemble(
-        self,
-        from_items: Sequence[ast.Node],
-        schemas: dict[str, list[str]],
-        early: dict[str, list[ast.Node]],
-        join_edges: list[tuple[str, ast.Node, str, ast.Node]],
-        outer: Optional[Scope],
+        self, plan: _BlockPlan, outer: Optional[Scope]
     ) -> list[dict[str, Row]]:
-        if not from_items:
+        if not plan.units:
             # SELECT without FROM: a single empty tuple (constant queries)
             return [{}]
-        units: list[_Unit] = []
-        for item in from_items:
-            units.append(self._unit_for(item, schemas, early, outer))
-        if not units:
-            return [{}]
+        units = [self._unit(unit, outer) for unit in plan.units]
         # greedy hash-join assembly
         units.sort(key=lambda u: len(u.rows))
         current = units.pop(0)
         remaining = units
-        edges = list(join_edges)
+        edges = list(plan.edges)
         while remaining:
             chosen_index = None
-            chosen_edges: list[tuple[str, ast.Node, str, ast.Node]] = []
+            chosen_edges: list[tuple] = []
             for index, unit in enumerate(remaining):
                 applicable = [
                     e for e in edges if _edge_connects(e, current.bindings, unit.bindings)
@@ -263,34 +515,22 @@ class _Statement:
             edges = [e for e in edges if not _edge_within(e, current.bindings)]
         return current.rows
 
-    def _unit_for(
-        self,
-        item: ast.Node,
-        schemas: dict[str, list[str]],
-        early: dict[str, list[ast.Node]],
-        outer: Optional[Scope],
-    ) -> _Unit:
-        if isinstance(item, ast.TableRef):
-            binding = item.binding.lower()
-            rows = [{binding: row} for row in self._table_rows(item)]
-            for conjunct in early.get(binding, ()):
-                rows = [
-                    r
-                    for r in rows
-                    if self.evaluator.is_true(conjunct, Scope(r, parent=outer))
-                ]
+    def _unit(self, plan: "_TablePlan | _JoinPlan", outer: Optional[Scope]) -> _Unit:
+        if isinstance(plan, _TablePlan):
+            binding = plan.binding
+            rows = [{binding: row} for row in self.database.rows(plan.relation)]
+            for condition in plan.filters:
+                rows = [r for r in rows if condition(r, outer, self) is True]
             return _Unit({binding}, rows)
-        if isinstance(item, ast.Join):
-            left = self._unit_for(item.left, schemas, early, outer)
-            right = self._unit_for(item.right, schemas, early, outer)
-            return self._explicit_join(left, right, item, schemas, outer)
-        raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
+        left = self._unit(plan.left, outer)
+        right = self._unit(plan.right, outer)
+        return self._explicit_join(left, right, plan, outer)
 
     def _join_units(
         self,
         left: _Unit,
         right: _Unit,
-        edges: list[tuple[str, ast.Node, str, ast.Node]],
+        edges: list[tuple],
         outer: Optional[Scope],
     ) -> _Unit:
         bindings = left.bindings | right.bindings
@@ -301,69 +541,74 @@ class _Statement:
             return _Unit(bindings, rows)
         # hash join on all edge keys simultaneously
         left_keys, right_keys = [], []
-        for binding_a, expr_a, binding_b, expr_b in edges:
+        for binding_a, key_a, binding_b, key_b in edges:
             if binding_a in left.bindings:
-                left_keys.append(expr_a)
-                right_keys.append(expr_b)
+                left_keys.append(key_a)
+                right_keys.append(key_b)
             else:
-                left_keys.append(expr_b)
-                right_keys.append(expr_a)
-        table: dict[tuple, list[dict[str, Row]]] = {}
-        for row in right.rows:
-            key = self._key_for(right_keys, row, outer)
-            if key is None:
-                continue
+                left_keys.append(key_b)
+                right_keys.append(key_a)
+        table: dict[Any, list[dict[str, Row]]] = {}
+        for key, row in self._keyed(right_keys, right.rows, outer):
             table.setdefault(key, []).append(row)
         rows = []
-        for row in left.rows:
-            key = self._key_for(left_keys, row, outer)
-            if key is None:
-                continue
+        for key, row in self._keyed(left_keys, left.rows, outer):
             for match in table.get(key, ()):
                 rows.append({**row, **match})
         return _Unit(bindings, rows)
 
-    def _key_for(
+    def _keyed(
         self,
-        exprs: Sequence[ast.Node],
-        scope_rows: dict[str, Row],
+        keys: Sequence[Compiled],
+        tuples: list[dict[str, Row]],
         outer: Optional[Scope],
-    ) -> Optional[tuple]:
-        scope = Scope(scope_rows, parent=outer)
-        key = []
-        for expr in exprs:
-            value = self.evaluator.evaluate(expr, scope)
-            if value is None:
-                return None  # NULL never joins
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)  # 1 and 1.0 hash-join together
-            key.append(value)
-        return tuple(key)
+    ) -> Iterable[tuple[Any, dict[str, Row]]]:
+        """``(join key, binding row)`` for each of *tuples* whose key
+        holds no NULL (NULL never joins); a one-column key is the bare
+        value, a longer one a tuple."""
+        if len(keys) == 1:
+            (fn,) = keys
+            for rows in tuples:
+                value = fn(rows, outer, self)
+                if value is None:
+                    continue
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                yield value, rows
+            return
+        for rows in tuples:
+            key = []
+            for fn in keys:
+                value = fn(rows, outer, self)
+                if value is None:
+                    break
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)  # 1 and 1.0 hash-join together
+                key.append(value)
+            else:
+                yield tuple(key), rows
 
     def _explicit_join(
         self,
         left: _Unit,
         right: _Unit,
-        join: ast.Join,
-        schemas: dict[str, list[str]],
+        plan: _JoinPlan,
         outer: Optional[Scope],
     ) -> _Unit:
         bindings = left.bindings | right.bindings
-        condition = join.condition
+        condition = plan.condition
 
         def matches(l: dict[str, Row], r: dict[str, Row]) -> bool:
             if condition is None:
                 return True
-            scope = Scope({**l, **r}, parent=outer)
-            return self.evaluator.is_true(condition, scope)
+            return condition({**l, **r}, outer, self) is True
 
         rows: list[dict[str, Row]] = []
-        if join.kind in ("inner", "cross"):
+        if plan.kind in ("inner", "cross"):
             for l, r in itertools.product(left.rows, right.rows):
                 if matches(l, r):
                     rows.append({**l, **r})
-        elif join.kind == "left":
-            null_right = _null_rows(right.bindings, schemas)
+        elif plan.kind == "left":
             for l in left.rows:
                 matched = False
                 for r in right.rows:
@@ -371,9 +616,8 @@ class _Statement:
                         rows.append({**l, **r})
                         matched = True
                 if not matched:
-                    rows.append({**l, **null_right})
-        elif join.kind == "right":
-            null_left = _null_rows(left.bindings, schemas)
+                    rows.append({**l, **plan.null_right})
+        elif plan.kind == "right":
             for r in right.rows:
                 matched = False
                 for l in left.rows:
@@ -381,263 +625,100 @@ class _Statement:
                         rows.append({**l, **r})
                         matched = True
                 if not matched:
-                    rows.append({**null_left, **r})
+                    rows.append({**plan.null_left, **r})
         else:  # pragma: no cover - parser restricts kinds
-            raise ExecutionError(f"unsupported join kind {join.kind!r}")
+            raise ExecutionError(f"unsupported join kind {plan.kind!r}")
         return _Unit(bindings, rows)
 
     # -- projection / grouping ----------------------------------------------
     def _project(
         self,
-        select: ast.Select,
-        schemas: dict[str, list[str]],
+        plan: _BlockPlan,
         tuples: list[dict[str, Row]],
         outer: Optional[Scope],
     ) -> Result:
-        items = self._expand_stars(select.items, schemas)
-        columns = [_column_name(item, index) for index, item in enumerate(items)]
-        grouped = bool(select.group_by) or _has_aggregate(items, select)
-
+        if plan.error is not None:
+            raise type(plan.error)(*plan.error.args)
         output: list[tuple] = []
-        order_contexts: list[Scope] = []
-        if grouped:
-            groups = self._group(select, tuples, outer)
-            for group_rows, key_scope in groups:
-                scope = _GroupScope(group_rows, key_scope, schemas, outer)
-                if select.having is not None and not self._agg_true(
-                    select.having, group_rows, scope, outer
-                ):
+        #: what ORDER BY expressions read for each output row: the binding
+        #: row, or (group rows, representative) when grouped
+        contexts: list[Any]
+        if plan.grouped:
+            contexts = []
+            items, having = plan.group_items, plan.having
+            for group in self._group(plan, tuples, outer):
+                rep = group[0] if group else plan.null_all
+                if having is not None and not having(group, rep, outer, self):
                     continue
-                row = tuple(
-                    self._agg_eval(item.expr, group_rows, scope, outer)
-                    for item in items
-                )
-                output.append(row)
-                order_contexts.append(scope)
+                output.append(tuple([item(group, rep, outer, self) for item in items]))
+                contexts.append((group, rep))
         else:
-            if select.having is not None:
-                raise ExecutionError("HAVING without GROUP BY or aggregates")
-            for scope_rows in tuples:
-                scope = Scope(scope_rows, parent=outer)
-                row = tuple(
-                    self.evaluator.evaluate(item.expr, scope) for item in items
-                )
-                output.append(row)
-                order_contexts.append(scope)
+            items = plan.items
+            output = [
+                tuple([item(rows, outer, self) for item in items]) for rows in tuples
+            ]
+            contexts = tuples
 
-        if select.distinct:
-            seen: dict[tuple, int] = {}
-            deduped, contexts = [], []
-            for row, context in zip(output, order_contexts):
+        if plan.distinct:
+            seen: set[tuple] = set()
+            deduped, kept = [], []
+            for row, context in zip(output, contexts):
                 if row not in seen:
-                    seen[row] = 1
+                    seen.add(row)
                     deduped.append(row)
-                    contexts.append(context)
-            output, order_contexts = deduped, contexts
+                    kept.append(context)
+            output, contexts = deduped, kept
 
-        if select.order_by:
-            output = self._order(
-                select, items, columns, output, order_contexts, grouped, outer
-            )
-        if select.offset is not None:
-            output = output[select.offset :]
-        if select.limit is not None:
-            output = output[: select.limit]
-        return Result(columns, output)
-
-    def _expand_stars(
-        self, items: Sequence[ast.SelectItem], schemas: dict[str, list[str]]
-    ) -> list[ast.SelectItem]:
-        expanded: list[ast.SelectItem] = []
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                star = item.expr
-                bindings = (
-                    [star.qualifier.text.lower()]
-                    if star.qualifier is not None
-                    else list(schemas)
-                )
-                for binding in bindings:
-                    if binding not in schemas:
-                        raise NameResolutionError(
-                            f"unknown binding {binding!r} in star expansion"
-                        )
-                    for column in schemas[binding]:
-                        expanded.append(
-                            ast.SelectItem(
-                                ast.ColumnRef(
-                                    ast.exact(column), ast.exact(binding)
-                                ),
-                                alias=column,
-                            )
-                        )
-            else:
-                expanded.append(item)
-        return expanded
+        if plan.order:
+            output = self._order(plan, output, contexts, outer)
+        if plan.offset is not None:
+            output = output[plan.offset :]
+        if plan.limit is not None:
+            output = output[: plan.limit]
+        return Result(plan.columns, output)
 
     def _group(
         self,
-        select: ast.Select,
+        plan: _BlockPlan,
         tuples: list[dict[str, Row]],
         outer: Optional[Scope],
-    ) -> list[tuple[list[dict[str, Row]], Optional[Scope]]]:
-        if not select.group_by:
-            return [(tuples, None)]
+    ) -> Iterable[list[dict[str, Row]]]:
+        if not plan.group_keys:
+            return [tuples]
+        keys = plan.group_keys
         groups: dict[tuple, list[dict[str, Row]]] = {}
-        representatives: dict[tuple, Scope] = {}
-        for scope_rows in tuples:
-            scope = Scope(scope_rows, parent=outer)
-            key = tuple(
-                self.evaluator.evaluate(expr, scope) for expr in select.group_by
-            )
-            groups.setdefault(key, []).append(scope_rows)
-            representatives.setdefault(key, scope)
-        return [(rows, representatives[key]) for key, rows in groups.items()]
-
-    # -- aggregate-aware evaluation ------------------------------------------
-    def _agg_eval(
-        self,
-        expr: ast.Node,
-        group_rows: list[dict[str, Row]],
-        scope: Scope,
-        outer: Optional[Scope],
-    ) -> Any:
-        if isinstance(expr, ast.FuncCall) and is_aggregate(expr.name):
-            return self._compute_aggregate(expr, group_rows, outer)
-        if isinstance(expr, (ast.Literal,)):
-            return expr.value
-        if isinstance(expr, ast.BinaryOp):
-            left = self._agg_eval(expr.left, group_rows, scope, outer)
-            right = self._agg_eval(expr.right, group_rows, scope, outer)
-            return self.evaluator.evaluate(
-                ast.BinaryOp(expr.op, ast.Literal(left), ast.Literal(right)),
-                scope,
-            )
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._agg_eval(expr.operand, group_rows, scope, outer)
-            return self.evaluator.evaluate(
-                ast.UnaryOp(expr.op, ast.Literal(operand)), scope
-            )
-        if isinstance(expr, ast.FuncCall):
-            args = tuple(
-                ast.Literal(self._agg_eval(a, group_rows, scope, outer))
-                for a in expr.args
-            )
-            return self.evaluator.evaluate(
-                ast.FuncCall(expr.name, args, expr.distinct), scope
-            )
-        # plain column / other expression: evaluate on the group's scope
-        return self.evaluator.evaluate(expr, scope)
-
-    def _agg_true(
-        self,
-        expr: ast.Node,
-        group_rows: list[dict[str, Row]],
-        scope: Scope,
-        outer: Optional[Scope],
-    ) -> bool:
-        if isinstance(expr, ast.BinaryOp) and expr.op in ("and", "or"):
-            left = self._agg_true(expr.left, group_rows, scope, outer)
-            right = self._agg_true(expr.right, group_rows, scope, outer)
-            return (left and right) if expr.op == "and" else (left or right)
-        if isinstance(expr, ast.UnaryOp) and expr.op == "not":
-            return not self._agg_true(expr.operand, group_rows, scope, outer)
-        if isinstance(expr, ast.BinaryOp):
-            left = self._agg_eval(expr.left, group_rows, scope, outer)
-            right = self._agg_eval(expr.right, group_rows, scope, outer)
-            return (
-                self.evaluator.evaluate(
-                    ast.BinaryOp(expr.op, ast.Literal(left), ast.Literal(right)),
-                    scope,
-                )
-                is True
-            )
-        return self._agg_eval(expr, group_rows, scope, outer) is True
-
-    def _compute_aggregate(
-        self,
-        call: ast.FuncCall,
-        group_rows: list[dict[str, Row]],
-        outer: Optional[Scope],
-    ) -> Any:
-        if call.args and isinstance(call.args[0], ast.Star):
-            values: Iterable[Any] = (1 for _ in group_rows)
-            return aggregate(call.name, values, distinct=False)
-        if len(call.args) != 1:
-            raise ExecutionError(f"{call.name}() takes exactly one argument")
-        arg = call.args[0]
-        values = [
-            self.evaluator.evaluate(arg, Scope(rows, parent=outer))
-            for rows in group_rows
-        ]
-        return aggregate(call.name, values, distinct=call.distinct)
+        for rows in tuples:
+            key = tuple([fn(rows, outer, self) for fn in keys])
+            groups.setdefault(key, []).append(rows)
+        return groups.values()
 
     # -- ordering --------------------------------------------------------------
     def _order(
         self,
-        select: ast.Select,
-        items: list[ast.SelectItem],
-        columns: list[str],
+        plan: _BlockPlan,
         output: list[tuple],
-        contexts: list[Scope],
-        grouped: bool,
+        contexts: list[Any],
         outer: Optional[Scope],
     ) -> list[tuple]:
-        alias_index = {
-            (item.alias or "").lower(): index
-            for index, item in enumerate(items)
-            if item.alias
-        }
-        expr_index = {item.expr: index for index, item in enumerate(items)}
-
-        def key_value(order_item: ast.OrderItem, row: tuple, context: Any) -> Any:
-            expr = order_item.expr
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                position = expr.value - 1
-                if not 0 <= position < len(row):
-                    raise ExecutionError(f"ORDER BY position {expr.value} out of range")
-                return row[position]
-            if isinstance(expr, ast.ColumnRef) and expr.relation is None:
-                name = expr.attribute.text.lower()
-                if name in alias_index:
-                    return row[alias_index[name]]
-            if expr in expr_index:
-                return row[expr_index[expr]]
-            if grouped:
-                scope: _GroupScope = context
-                return self._agg_eval(expr, scope.group_rows, scope, outer)
-            return self.evaluator.evaluate(expr, context)
-
         decorated = list(zip(output, contexts))
-        for order_item in reversed(select.order_by):
-            decorated.sort(
-                key=lambda pair: _sort_key(
-                    key_value(order_item, pair[0], pair[1])
-                ),
-                reverse=not order_item.ascending,
-            )
+        for ascending, kind, payload in reversed(plan.order):
+            if kind == "column":
+                key = lambda pair, i=payload: _sort_key(pair[0][i])  # noqa: E731
+            elif kind == "row":
+                key = lambda pair, fn=payload: _sort_key(  # noqa: E731
+                    fn(pair[1], outer, self)
+                )
+            elif kind == "group":
+                key = lambda pair, fn=payload: _sort_key(  # noqa: E731
+                    fn(pair[1][0], pair[1][1], outer, self)
+                )
+            else:
+
+                def key(pair, message=payload):
+                    raise ExecutionError(message)
+
+            decorated.sort(key=key, reverse=not ascending)
         return [row for row, _ in decorated]
-
-
-class _GroupScope(Scope):
-    """Scope for aggregate evaluation: resolves plain columns against a
-    representative row of the group (valid for GROUP BY keys)."""
-
-    def __init__(
-        self,
-        group_rows: list[dict[str, Row]],
-        representative: Optional[Scope],
-        schemas: dict[str, list[str]],
-        outer: Optional[Scope],
-    ) -> None:
-        if representative is not None:
-            bindings = representative.bindings
-        elif group_rows:
-            bindings = group_rows[0]
-        else:  # an aggregate over no rows: plain columns read NULL
-            bindings = _null_rows(schemas, schemas)
-        super().__init__(bindings, parent=outer)
-        self.group_rows = group_rows
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +743,56 @@ def _reject_untranslated(select: ast.Select) -> None:
                 raise ExecutionError(
                     f"untranslated schema-free column {node.render()!r}"
                 )
+
+
+def _binding_schemas(catalog: Catalog, from_items: Sequence[ast.Node]) -> Schemas:
+    """Map binding name -> lower-cased column names, in FROM order."""
+    schemas: Schemas = {}
+    for table in _table_refs(from_items):
+        binding = table.binding.lower()
+        if binding in schemas:
+            raise ExecutionError(f"duplicate FROM binding {table.binding!r}")
+        relation = catalog.relation(table.name.text)
+        schemas[binding] = [a.key for a in relation.attributes]
+    return schemas
+
+
+def _bindings_under(item: ast.Node) -> list[str]:
+    return [table.binding.lower() for table in _table_refs((item,))]
+
+
+def _join_level(join: ast.Join, schemas: Schemas) -> Schemas:
+    """The bindings an ``ON`` condition sees: those of its own join."""
+    return {binding: schemas[binding] for binding in _bindings_under(join)}
+
+
+def _expand_stars(
+    items: Sequence[ast.SelectItem], schemas: Schemas
+) -> list[ast.SelectItem]:
+    expanded: list[ast.SelectItem] = []
+    for item in items:
+        if isinstance(item.expr, ast.Star):
+            star = item.expr
+            bindings = (
+                [star.qualifier.text.lower()]
+                if star.qualifier is not None
+                else list(schemas)
+            )
+            for binding in bindings:
+                if binding not in schemas:
+                    raise NameResolutionError(
+                        f"unknown binding {binding!r} in star expansion"
+                    )
+                for column in schemas[binding]:
+                    expanded.append(
+                        ast.SelectItem(
+                            ast.ColumnRef(ast.exact(column), ast.exact(binding)),
+                            alias=column,
+                        )
+                    )
+        else:
+            expanded.append(item)
+    return expanded
 
 
 def _walk_local_select(select: ast.Select):
@@ -802,7 +933,7 @@ def _classify(
 
 
 def _edge_connects(
-    edge: tuple[str, ast.Node, str, ast.Node],
+    edge: tuple[str, Compiled, str, Compiled],
     left_bindings: set[str],
     right_bindings: set[str],
 ) -> bool:
@@ -813,7 +944,7 @@ def _edge_connects(
 
 
 def _edge_within(
-    edge: tuple[str, ast.Node, str, ast.Node], bindings: set[str]
+    edge: tuple[str, Compiled, str, Compiled], bindings: set[str]
 ) -> bool:
     return edge[0] in bindings and edge[2] in bindings
 

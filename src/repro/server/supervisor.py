@@ -1286,6 +1286,7 @@ class Supervisor:
                                 "state": w.state,
                                 "build_seconds": w.build_seconds,
                                 "artifacts": list(w.artifacts),
+                                "awaiting_pong": w.ping_sent_at is not None,
                             }
                             for w in shard.workers
                         ],

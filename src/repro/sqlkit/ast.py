@@ -241,6 +241,9 @@ class Join(Node):
 class OrderItem(Node):
     expr: Node
     ascending: bool = True
+    #: explicit NULL placement (``"first"`` / ``"last"``), set only by
+    #: dialect lowering; ``None`` leaves it to the executing engine
+    nulls: Optional[str] = None
 
 
 @dataclass(frozen=True)

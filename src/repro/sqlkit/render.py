@@ -81,17 +81,19 @@ def _render_query(node: ast.Node) -> str:
         parts.append(_render_expr(node.having, 0))
     if node.order_by:
         parts.append("ORDER BY")
-        parts.append(
-            ", ".join(
-                _render_expr(item.expr, 0) + ("" if item.ascending else " DESC")
-                for item in node.order_by
-            )
-        )
+        parts.append(", ".join(_render_order_item(item) for item in node.order_by))
     if node.limit is not None:
         parts.append(f"LIMIT {node.limit}")
         if node.offset is not None:
             parts.append(f"OFFSET {node.offset}")
     return " ".join(parts)
+
+
+def _render_order_item(item: ast.OrderItem) -> str:
+    text = _render_expr(item.expr, 0) + ("" if item.ascending else " DESC")
+    if item.nulls is not None:
+        text += f" NULLS {item.nulls.upper()}"
+    return text
 
 
 def _render_select_item(item: ast.SelectItem) -> str:
@@ -151,7 +153,8 @@ def _render_expr(node: ast.Node, parent_level: int) -> str:
         return f"{node.name}({inner})"
     if isinstance(node, ast.UnaryOp):
         if node.op == "not":
-            text = f"NOT {_render_expr(node.operand, _PRECEDENCE['and'])}"
+            # NOT binds tighter than AND: an AND/OR operand keeps its parens
+            text = f"NOT {_render_expr(node.operand, _PRECEDENCE['and'] + 1)}"
             return _parenthesize(text, _PRECEDENCE["and"], parent_level)
         return f"{node.op}{_render_expr(node.operand, 7)}"
     if isinstance(node, ast.BinaryOp):

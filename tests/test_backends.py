@@ -9,6 +9,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Catalog, Database, DataType
 from repro.backends import (
@@ -267,6 +269,11 @@ class TestDialect:
                 parse("SELECT a FROM t WHERE a < ALL (SELECT b FROM u)")
             )
 
+    def test_order_items_get_the_engines_null_placement(self):
+        assert to_sqlite_sql(parse("SELECT v FROM t ORDER BY v, id DESC")) == (
+            "SELECT v FROM t ORDER BY v NULLS LAST, id DESC NULLS FIRST"
+        )
+
     def test_lower_is_pure(self):
         query = parse("SELECT a FROM t WHERE b > 1")
         assert lower(query) is query  # nothing to rewrite -> same object
@@ -424,6 +431,127 @@ class TestExecution:
             SqliteBackend(path)
         assert info.value.diagnostic is not None
         assert info.value.diagnostic.stage == "backend"
+
+
+# ---------------------------------------------------------------------------
+# parity over NULLs: ordering and random WHERE predicates
+# ---------------------------------------------------------------------------
+
+
+def make_nullable_pair() -> tuple[MemoryBackend, SqliteBackend]:
+    """``t(id, a, b, s)`` with NULLs in every non-key column, on both
+    backends."""
+    catalog = Catalog("nullable")
+    catalog.create_relation(
+        "t",
+        [
+            ("id", DataType.INTEGER),
+            ("a", DataType.INTEGER),
+            ("b", DataType.INTEGER),
+            ("s", DataType.TEXT),
+        ],
+        primary_key=["id"],
+    )
+    db = Database(catalog)
+    db.insert_many(
+        "t",
+        [
+            [1, 3, 1, "ab"],
+            [2, None, 2, "b"],
+            [3, 1, None, None],
+            [4, 2, 2, "a_b"],
+            [5, None, None, "ba%"],
+            [6, 3, 0, ""],
+        ],
+    )
+    return MemoryBackend(db), SqliteBackend(export_to_sqlite(db, ":memory:"))
+
+
+@pytest.fixture(scope="module")
+def nullable_pair() -> tuple[MemoryBackend, SqliteBackend]:
+    return make_nullable_pair()
+
+
+class TestNullOrdering:
+    @pytest.mark.parametrize(
+        "order, expected", [("v", [(3,)]), ("v DESC", [(2,)])]
+    )
+    def test_limit_picks_the_same_row_on_both_backends(self, order, expected):
+        catalog = Catalog("ordering")
+        catalog.create_relation(
+            "t", [("id", DataType.INTEGER), ("v", DataType.INTEGER)],
+            primary_key=["id"],
+        )
+        db = Database(catalog)
+        db.insert_many("t", [[1, 3], [2, None], [3, 1]])
+        sqlite = SqliteBackend(export_to_sqlite(db, ":memory:"))
+        sql = f"SELECT id FROM t ORDER BY {order} LIMIT 1"
+        assert db.execute(sql).rows == expected
+        assert sqlite.execute(sql).rows == expected
+
+    def test_full_order_matches(self, nullable_pair):
+        memory, sqlite = nullable_pair
+        for sql in (
+            "SELECT id FROM t ORDER BY a, id",
+            "SELECT id FROM t ORDER BY a DESC, b, id DESC",
+            "SELECT s FROM t ORDER BY s DESC",
+        ):
+            assert memory.execute(sql).rows == sqlite.execute(sql).rows, sql
+
+
+_INT_COLUMNS = st.sampled_from(["a", "b", "id"])
+_INTS = st.integers(min_value=-1, max_value=4)
+
+
+@st.composite
+def _atoms(draw) -> str:
+    kind = draw(st.sampled_from(
+        ["compare", "columns", "null", "between", "in", "like", "text"]
+    ))
+    column = draw(_INT_COLUMNS)
+    negated = "NOT " if draw(st.booleans()) else ""
+    if kind == "compare":
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        return f"{column} {op} {draw(_INTS)}"
+    if kind == "columns":
+        op = draw(st.sampled_from(["=", "<>", "<", ">="]))
+        return f"{column} {op} {draw(_INT_COLUMNS)}"
+    if kind == "null":
+        return f"{draw(st.sampled_from(['a', 'b', 's']))} IS {negated}NULL"
+    if kind == "between":
+        low, high = draw(_INTS), draw(_INTS)
+        return f"{column} {negated}BETWEEN {low} AND {high}"
+    if kind == "in":
+        items = draw(st.lists(st.one_of(_INTS, st.none()), min_size=1, max_size=3))
+        listed = ", ".join("NULL" if item is None else str(item) for item in items)
+        return f"{column} {negated}IN ({listed})"
+    if kind == "like":
+        pattern = draw(st.text(alphabet="ab%_", max_size=4))
+        return f"s {negated}LIKE '{pattern}'"
+    op = draw(st.sampled_from(["=", "<>", "<", ">"]))
+    return f"s {op} '{draw(st.text(alphabet='ab', max_size=2))}'"
+
+
+_predicates = st.recursive(
+    _atoms(),
+    lambda inner: st.one_of(
+        st.builds(lambda p: f"NOT ({p})", inner),
+        st.builds(lambda l, r: f"({l}) AND ({r})", inner, inner),
+        st.builds(lambda l, r: f"({l}) OR ({r})", inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+class TestWherePredicateParity:
+    @settings(max_examples=150, deadline=None)
+    @given(predicate=_predicates)
+    def test_same_rows_on_both_backends(self, nullable_pair, predicate):
+        memory, sqlite = nullable_pair
+        sql = f"SELECT id FROM t WHERE {predicate}"
+        assert sorted(memory.execute(sql).rows) == sorted(
+            sqlite.execute(sql).rows
+        ), sql
 
 
 # ---------------------------------------------------------------------------

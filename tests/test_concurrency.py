@@ -243,6 +243,23 @@ class TestSharedExecutor:
             for i, rows in enumerate(results):
                 assert rows == expected[(index + i) % len(queries)]
 
+    def test_one_text_from_four_threads_at_once(self):
+        db = make_db()
+        sql = SUBQUERY_SQL[1]
+        expected = make_db().execute(sql).rows
+
+        def worker(index):
+            return [db.execute(sql).rows for _ in range(30)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # plan the text in several threads at once
+        try:
+            results_by_thread = in_threads(worker, count=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rows == expected for rows in sum(results_by_thread, []))
+        assert len(db._statements) == 1
+
 
 # ---------------------------------------------------------------------------
 # acceptance stress test: 8 workers, 200 mixed queries, injected faults

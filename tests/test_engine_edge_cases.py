@@ -142,6 +142,25 @@ class TestErrorPaths:
             nullable_db.execute("SELECT ghost.* FROM t")
 
 
+class TestLazyErrors:
+    """Planning compiles every expression up front, but an error is
+    raised only when its expression runs on some row."""
+
+    def test_ambiguous_column_raises_only_when_there_are_rows(self, nullable_db):
+        sql = "SELECT id FROM t, u WHERE t.v = 77"
+        assert nullable_db.execute(sql).rows == []
+        nullable_db.insert("t", [5, 77, "z"])
+        with pytest.raises(NameResolutionError, match="ambiguous column 'id'"):
+            nullable_db.execute(sql)
+
+    def test_unknown_column_over_no_rows_is_no_error(self, nullable_db):
+        assert nullable_db.execute("SELECT ghost FROM t WHERE id < 0").rows == []
+
+    def test_bad_order_position_over_no_rows_is_no_error(self, nullable_db):
+        result = nullable_db.execute("SELECT id FROM t WHERE id < 0 ORDER BY 9")
+        assert result.rows == []
+
+
 class TestProjectionDetails:
     def test_expression_column_names(self, nullable_db):
         result = nullable_db.execute("SELECT v + 1 AS bumped, v FROM t LIMIT 1")

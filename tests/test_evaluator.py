@@ -5,13 +5,14 @@ import datetime
 import pytest
 
 from repro.engine import ExecutionError, NameResolutionError
-from repro.engine.evaluator import Evaluator, Scope, compare, like_match
+from repro.engine.evaluator import Scope, compare, compile_expr, like_match
 from repro.sqlkit import parse_expression
 
 
 def ev(expr: str, **columns):
-    scope = Scope({"t": {k.lower(): v for k, v in columns.items()}})
-    return Evaluator().evaluate(parse_expression(expr), scope)
+    row = {k.lower(): v for k, v in columns.items()}
+    compiled = compile_expr(parse_expression(expr), {"t": list(row)})
+    return compiled({"t": row}, None, None)
 
 
 class TestComparisons:

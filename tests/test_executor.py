@@ -8,9 +8,10 @@ from repro import Database
 from repro.backends.sqlite import SqliteBackend
 from repro.datasets import make_movie_database
 from repro.engine import ExecutionError
+from repro.engine.database import STATEMENT_CACHE_SIZE
 from repro.engine.executor import _Statement
 from repro.engine.io import export_to_sqlite
-from repro.sqlkit import parse
+from repro.sqlkit import SqlSyntaxError, parse
 from repro.testing.differential import normalize_rows
 from repro.workloads.textbook import TEXTBOOK_QUERIES
 
@@ -422,6 +423,47 @@ class TestSubqueryEvaluation:
         assert before == [("James Cameron",), ("Steven Spielberg",)]
         assert after == [("James Cameron",), ("Steven Spielberg",), ("Tom Hanks",)]
         assert runs[id(tree.where.query)] == 2
+
+
+class TestPreparedStatements:
+    """Database.execute(text) parses and plans a text once and reuses it;
+    plans hold no rows, so writes need not invalidate them."""
+
+    SQL = (
+        "SELECT name FROM Person WHERE person_id IN "
+        "(SELECT person_id FROM Director) ORDER BY name"
+    )
+
+    def test_plan_reused_across_a_write_sees_the_new_row(self, runs):
+        db = Database(make_fig1_catalog())
+        populate_fig1(db)
+        before = db.execute(self.SQL).rows
+        prepared = db._prepared(self.SQL)
+        db.insert("Director", [5, 12])
+        after = db.execute(self.SQL).rows
+        assert db._prepared(self.SQL) is prepared
+        assert before == [("James Cameron",), ("Steven Spielberg",)]
+        assert after == [("James Cameron",), ("Steven Spielberg",), ("Tom Hanks",)]
+        inner = prepared.query.where.query
+        assert runs[id(inner)] == 2  # once per statement, never reused
+
+    def test_map_is_bounded(self):
+        db = Database(make_fig1_catalog())
+        populate_fig1(db)
+        texts = [
+            f"SELECT title FROM Movie WHERE release_year > {year}"
+            for year in range(STATEMENT_CACHE_SIZE + 10)
+        ]
+        for text in texts:
+            db.execute(text)
+        assert len(db._statements) == STATEMENT_CACHE_SIZE
+        assert texts[0] not in db._statements and texts[-1] in db._statements
+
+    def test_syntax_errors_are_not_kept(self):
+        db = Database(make_fig1_catalog())
+        with pytest.raises(SqlSyntaxError):
+            db.execute("SELECT FROM WHERE")
+        assert not db._statements
 
 
 class TestJoinAndAggregateCorners:

@@ -47,6 +47,13 @@ class TestRoundTrip:
         reparsed = parse_expression(text)
         assert reparsed.op == "and"
 
+    @pytest.mark.parametrize(
+        "expr", ["NOT (a IS NULL AND b IS NULL)", "NOT (a = 1 OR b = 2)"]
+    )
+    def test_not_keeps_parentheses_around_and_or(self, expr):
+        tree = parse_expression(expr)
+        assert parse_expression(render(tree)) == tree
+
     def test_string_escaping(self):
         expr = parse_expression("name = 'O''Brien'")
         text = render(expr)
